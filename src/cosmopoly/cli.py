@@ -31,11 +31,11 @@ from .grobner import default_good_order, obstruction_set, reduced_generators
 from .hstar import (
     check_structure_theorems,
     hstar as hstar_dispatch,
+    resolve_method,
 )
 from .multigraph import Multigraph, blocks, connected_components
 from .polytope import dimension, facet_inequalities, lattice_points
 from .sweep import (
-    canonical_form,
     sweep_statistic,
     sweep_theta,
     sweep_upper_bound,
@@ -150,8 +150,9 @@ def _cache_dir(args) -> str | None:
 
 
 def _graph_hash(g: Multigraph) -> str:
-    n, edges = canonical_form(g)
-    return hashlib.sha256(json.dumps([n, edges]).encode()).hexdigest()
+    # The labeled graph, not its isomorphism class: lattice points, facets,
+    # cells and the statistic verdict depend on labels and orientation.
+    return hashlib.sha256(write_graph_text(g).encode()).hexdigest()
 
 
 def _cache_key(g: Multigraph, command: str, params: dict) -> str:
@@ -268,7 +269,7 @@ def cmd_facets(g: Multigraph, args) -> dict:
                 "subgraph_edges": list(f.subgraph_edges),
                 "normal": list(f.normal),
             }
-            for f in facet_inequalities(g)
+            for f in facet_inequalities(g, args.budget_nodes)
         ],
     }
 
@@ -321,9 +322,8 @@ def _render_triangulate(payload: dict) -> str:
 
 
 def cmd_hstar(g: Multigraph, args) -> dict:
-    h = hstar_dispatch(
-        g, method=args.method, budget=args.budget_nodes, order_seed=args.order_seed
-    )
+    method = resolve_method(g, args.method)
+    h = hstar_dispatch(g, method=method, budget=args.budget_nodes, order_seed=args.order_seed)
     checks = check_structure_theorems(g, h)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -331,7 +331,7 @@ def cmd_hstar(g: Multigraph, args) -> dict:
         "volume": h(1),
         "degree": h.degree,
         "codegree": dimension(g) + 1 - h.degree,
-        "method": args.method,
+        "method": method,
         "checks": {c.name: c.ok for c in checks},
     }
 
@@ -517,9 +517,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
     if args.json or renderer is None:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        text = json.dumps(payload, sort_keys=True, indent=2)
     else:
-        print(renderer(payload))
+        text = renderer(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`), which is not an error.
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolation,
     as_budget,
 )
-from .grobner import TermOrder
+from .grobner import TermOrder, default_good_order
 from .intlinalg import solve_exact
 from .multigraph import (
     BUNDLE,
@@ -360,14 +360,37 @@ def per_component(g: Multigraph, fn) -> IntPolynomial:
     """Apply a connected-graph h* method per component and multiply."""
     result = ONE
     for comp in connected_components(g):
-        edge_ids = [e.id for e in g.edges if e.u in set(comp)]
+        vertices = set(comp)
+        edge_ids = [e.id for e in g.edges if e.u in vertices]
         sub, _ = induced_by_edges(g, edge_ids)
         result = result * fn(sub)
     return result
 
 
-DEFAULT_VISIBILITY_POINT_CAP = 64
-DEFAULT_EHRHART_DIM_CAP = 8
+# Above this many lattice points ``auto`` refuses.  An ehrhart fallback for
+# small dimensions would never run: dimension <= 8 allows at most 30 points.
+VISIBILITY_POINT_CAP = 64
+
+
+def resolve_method(g: Multigraph, method: str) -> str:
+    """The route ``hstar`` runs for ``method``.
+
+    ``auto`` picks the block closed forms when every block has one, then
+    visibility under the lattice-point cap, and otherwise refuses with
+    guidance.
+    """
+    if method in ("blocks", "visibility", "ehrhart"):
+        return method
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}")
+    if all(b.tag != OTHER for b in blocks(g)):
+        return "blocks"
+    if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
+        return "visibility"
+    raise NoMethodAvailable(
+        "graph exceeds the visibility point cap; "
+        "pass an explicit --method with a bigger --budget-nodes"
+    )
 
 
 def hstar(
@@ -375,44 +398,25 @@ def hstar(
     method: str = "auto",
     budget: Budget | int | None = None,
     order_seed: int | None = None,
-    visibility_point_cap: int = DEFAULT_VISIBILITY_POINT_CAP,
-    ehrhart_dim_cap: int = DEFAULT_EHRHART_DIM_CAP,
 ) -> IntPolynomial:
-    """Method dispatcher.
+    """h* by the route :func:`resolve_method` picks.
 
-    ``auto`` prefers the block closed forms when every block has one, then
-    visibility under the lattice-point cap, then ehrhart under the dimension
-    cap, and otherwise refuses with guidance.  Disconnected input is handled
-    per component for the connected-only routes.
+    Disconnected input is handled per component for the connected-only
+    routes; visibility triangulates each component under
+    ``default_good_order(component, seed=order_seed)``.
     """
     bud = as_budget(budget)
-
-    def visibility(sub: Multigraph) -> IntPolynomial:
-        order = None
-        if order_seed is not None:
-            from .grobner import default_good_order
-
-            order = default_good_order(sub, seed=order_seed)
-        return hstar_visibility(sub, order=order, budget=bud)
-
-    if method == "blocks":
+    route = resolve_method(g, method)
+    if route == "blocks":
         return hstar_blocks(g, bud)
-    if method == "visibility":
-        return per_component(g, visibility)
-    if method == "ehrhart":
-        return per_component(g, lambda sub: hstar_ehrhart(sub, bud))
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if all(b.tag != OTHER for b in blocks(g)):
-        return hstar_blocks(g, bud)
-    if len(lattice_points(g)) <= visibility_point_cap:
-        return per_component(g, visibility)
-    if dimension(g) <= ehrhart_dim_cap:
-        return per_component(g, lambda sub: hstar_ehrhart(sub, bud))
-    raise NoMethodAvailable(
-        "graph exceeds the visibility point cap and the ehrhart dimension cap; "
-        "pass an explicit --method with a bigger --budget-nodes"
-    )
+    if route == "visibility":
+        return per_component(
+            g,
+            lambda sub: hstar_visibility(
+                sub, order=default_good_order(sub, seed=order_seed), budget=bud
+            ),
+        )
+    return per_component(g, lambda sub: hstar_ehrhart(sub, bud))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, GraphError
+from .errors import Budget, GraphError, as_budget
 
 LOOP = "Loop"
 SINGLE_EDGE = "SingleEdge"
@@ -379,16 +379,16 @@ def multicycle_layout(g: Multigraph) -> tuple[int, ...] | None:
 
 
 def connected_subgraphs(
-    g: Multigraph, limit: int | None = 1_000_000
+    g: Multigraph, budget: Budget | int | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All connected (vertex set, edge subset) pairs with a non-empty vertex set.
 
     Every emitted edge has both endpoints in the vertex set and the pair is
     connected as a graph.  Exhaustive and duplicate-free; exponential by
-    nature, so a hard cap guards the stream.
+    nature, so every scanned edge mask is charged to the budget.
     """
+    bud = as_budget(budget)
     n = g.vertex_count
-    emitted = 0
     for vmask in range(1, 1 << n):
         vset = [v for v in range(n) if vmask >> v & 1]
         inside = [e for e in g.edges if vmask >> e.u & 1 and vmask >> e.v & 1]
@@ -396,11 +396,9 @@ def connected_subgraphs(
             continue  # no edge subset can connect a vertex set g does not
         k = len(inside)
         for emask in range(1 << k):
+            bud.spend()
             chosen = [inside[i] for i in range(k) if emask >> i & 1]
             if _pair_connected(vset, chosen):
-                emitted += 1
-                if limit is not None and emitted > limit:
-                    raise BudgetExceeded(f"more than {limit} connected subgraphs")
                 yield tuple(vset), tuple(e.id for e in chosen)
 
 

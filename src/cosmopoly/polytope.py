@@ -108,7 +108,7 @@ class FacetInequality:
     normal: tuple[int, ...]
 
 
-def facet_inequalities(g: Multigraph, limit: int | None = 1_000_000) -> list[FacetInequality]:
+def facet_inequalities(g: Multigraph, budget: Budget | int | None = None) -> list[FacetInequality]:
     """Facets of the polytope, one per non-empty connected subgraph.
 
     Distinct subgraphs yielding the same normal are deduplicated (first
@@ -120,7 +120,7 @@ def facet_inequalities(g: Multigraph, limit: int | None = 1_000_000) -> list[Fac
     off = g.vertex_count
     seen: dict[tuple[int, ...], FacetInequality] = {}
     out = []
-    for vset, eset in connected_subgraphs(g, limit=limit):
+    for vset, eset in connected_subgraphs(g, budget):
         inside_v = set(vset)
         inside_e = set(eset)
         normal = [0] * m
@@ -143,23 +143,6 @@ def facet_inequalities(g: Multigraph, limit: int | None = 1_000_000) -> list[Fac
     return out
 
 
-def _generator_coordinate_ranges(g: Multigraph) -> tuple[list[int], list[int]]:
-    """Per-coordinate min/max over the defining generators of the polytope."""
-    m = g.vertex_count + len(g.edges)
-    off = g.vertex_count
-    gens: list[tuple[int, ...]] = []
-    for e in g.edges:
-        gens.append(_unit(m, [(e.u, 1), (e.v, 1), (off + e.id, -1)]))
-        if e.is_loop:
-            gens.append(_unit(m, [(off + e.id, 1)]))
-        else:
-            gens.append(_unit(m, [(e.u, 1), (e.v, -1), (off + e.id, 1)]))
-            gens.append(_unit(m, [(e.u, -1), (e.v, 1), (off + e.id, 1)]))
-    lo = [min(gen[k] for gen in gens) for k in range(m)]
-    hi = [max(gen[k] for gen in gens) for k in range(m)]
-    return lo, hi
-
-
 def count_dilate_points(g: Multigraph, t: int, budget: Budget | int | None = None) -> int:
     """Number of lattice points in the t-th dilate, by pruned exact enumeration."""
     return _count_points(g, t, strict=False, budget=budget)
@@ -174,12 +157,14 @@ def _count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | No
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     bud = as_budget(budget)
-    facets = facet_inequalities(g)
+    facets = facet_inequalities(g, bud)
     normals = [f.normal for f in facets]
     m = g.vertex_count + len(g.edges)
-    lo1, hi1 = _generator_coordinate_ranges(g)
-    lo = [t * x for x in lo1]
-    hi = [t * x for x in hi1]
+    # The lattice points include the vertices of the polytope, so their
+    # coordinate box is the polytope's.
+    pts = [p.coords for p in lattice_points(g)]
+    lo = [t * min(x[k] for x in pts) for k in range(m)]
+    hi = [t * max(x[k] for x in pts) for k in range(m)]
 
     # suffix sums of the coordinate box, and per-inequality suffix maxima
     suf_lo = [0] * (m + 1)

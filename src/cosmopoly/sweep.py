@@ -9,16 +9,16 @@ from typing import Iterator
 from .errors import Budget, BudgetExceeded, as_budget
 from .grobner import default_good_order
 from .hstar import (
+    VISIBILITY_POINT_CAP,
     CheckResult,
     ConjectureFinding,
     IntPolynomial,
     check_statistic_conjecture,
     check_structure_theorems,
     check_upper_bound_conjecture,
+    hstar,
     hstar_blocks,
-    hstar_ehrhart,
     hstar_visibility,
-    per_component,
     theta_hstar,
 )
 from .multigraph import GraphError, Multigraph, is_connected, theta_graph
@@ -120,61 +120,45 @@ class VerifyReport:
         raise RuntimeError("no method produced a result")
 
 
-DEFAULT_VERIFY_POINT_CAP = 64
-DEFAULT_VERIFY_EHRHART_DIM = 6
+VERIFY_EHRHART_DIM_CAP = 6
 
 
 def verify_graph(
     g: Multigraph,
     budget: Budget | int | None = None,
     order_seed: int | None = None,
-    visibility_point_cap: int = DEFAULT_VERIFY_POINT_CAP,
-    ehrhart_dim_cap: int = DEFAULT_VERIFY_EHRHART_DIM,
 ) -> VerifyReport:
     """Run every applicable h* method, compare them, and run all checks.
 
     The blocks route always runs.  Visibility runs when the lattice-point
     count permits, ehrhart when the dimension permits; a budget overrun on
-    the optional routes is recorded as a skip rather than an error.
+    the optional routes is recorded as a skip rather than an error.  On a
+    connected graph the visibility cells also feed the statistic check.
     """
     bud = as_budget(budget)
     methods: dict[str, IntPolynomial] = {}
     skipped: dict[str, str] = {}
     methods["blocks"] = hstar_blocks(g, bud)
 
-    order = None
-    if order_seed is not None:
-        order = default_good_order(g, seed=order_seed)
-
-    simplices_by_component = None
-    if len(lattice_points(g)) <= visibility_point_cap:
+    cells = None
+    if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
         try:
             if is_connected(g):
-                comp_order = order if order is not None else default_good_order(g)
-                simplices = build_triangulation(g, comp_order, bud)
-                simplices_by_component = [(g, comp_order, simplices)]
+                order = default_good_order(g, seed=order_seed)
+                cells = build_triangulation(g, order, bud)
                 methods["visibility"] = hstar_visibility(
-                    g, order=comp_order, simplices=simplices, budget=bud
+                    g, order=order, simplices=cells, budget=bud
                 )
             else:
-                methods["visibility"] = per_component(
-                    g,
-                    lambda sub: hstar_visibility(
-                        sub,
-                        order=default_good_order(sub, seed=order_seed)
-                        if order_seed is not None
-                        else None,
-                        budget=bud,
-                    ),
-                )
+                methods["visibility"] = hstar(g, "visibility", bud, order_seed)
         except BudgetExceeded as exc:
             skipped["visibility"] = str(exc)
     else:
         skipped["visibility"] = "lattice-point count above cap"
 
-    if dimension(g) <= ehrhart_dim_cap:
+    if dimension(g) <= VERIFY_EHRHART_DIM_CAP:
         try:
-            methods["ehrhart"] = per_component(g, lambda sub: hstar_ehrhart(sub, bud))
+            methods["ehrhart"] = hstar(g, "ehrhart", bud)
         except BudgetExceeded as exc:
             skipped["ehrhart"] = str(exc)
     else:
@@ -189,10 +173,9 @@ def verify_graph(
     h = report.hstar()
     report.theorem_checks = check_structure_theorems(g, h)
     report.conjectures.append(check_upper_bound_conjecture(g, h))
-    if simplices_by_component is not None:
-        sub, comp_order, simplices = simplices_by_component[0]
+    if cells is not None:
         report.conjectures.append(
-            check_statistic_conjecture(sub, h, order=comp_order, simplices=simplices, budget=bud)
+            check_statistic_conjecture(g, h, order=order, simplices=cells, budget=bud)
         )
     return report
 
@@ -250,12 +233,7 @@ def sweep_theta(
                 g = theta_graph(k, l, m)
                 predicted = theta_hstar(k, l, m)
                 try:
-                    order = (
-                        default_good_order(g, seed=order_seed)
-                        if order_seed is not None
-                        else None
-                    )
-                    actual = hstar_visibility(g, order=order, budget=budget)
+                    actual = hstar(g, "visibility", budget, order_seed)
                 except BudgetExceeded as exc:
                     out.append(SweepFinding(f"theta({k},{l},{m})", "SKIPPED", str(exc)))
                     continue

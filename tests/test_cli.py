@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,18 @@ def test_hstar_json_payload(tmp_path, capsys):
     assert all(payload["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "text, route",
+    [("0 1\n1 2\n2 0\n", "blocks"), ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", "visibility")],
+    ids=["triangle", "K4"],
+)
+def test_hstar_json_reports_resolved_route(tmp_path, capsys, text, route):
+    path = graph_file(tmp_path, text)
+    code, out, _ = invoke(capsys, "hstar", path, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["method"] == route
+
+
 def test_info_and_volume(tmp_path, capsys):
     path = graph_file(tmp_path, "a b\nb c\nc a\n")
     code, out, _ = invoke(capsys, "info", path)
@@ -152,6 +168,22 @@ def test_verify_json_reports_methods(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["vertices 5\n0 1\n1 2\n2 0\n3 4\n", "vertices 3\n0 1\n0 1\n2 2\n"],
+    ids=["triangle+edge", "bundle2+loop"],
+)
+@pytest.mark.parametrize("seed", [[], ["--order-seed", "3"]], ids=["default", "seed3"])
+def test_verify_json_on_disconnected_graph(tmp_path, capsys, text, seed):
+    path = graph_file(tmp_path, text)
+    code, out, _ = invoke(capsys, "verify", path, "--json", *seed)
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["agree"] is True
+    assert "visibility" in payload["methods"]
+    assert len({tuple(h) for h in payload["methods"].values()}) == 1
+    assert "statistic" not in payload["conjectures"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = graph_file(tmp_path, "0 1 extra tokens\n")
     code, _, err = invoke(capsys, "info", path)
@@ -167,6 +199,28 @@ def test_budget_exit_code(tmp_path, capsys):
         capsys, "hstar", path, "--method", "visibility", "--budget-nodes", "50000"
     )
     assert code == EXIT_BUDGET and "budget" in err
+
+
+def test_facets_budget_exit_code(tmp_path, capsys):
+    path = graph_file(tmp_path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = invoke(capsys, "facets", path, "--budget-nodes", "5")
+    assert code == EXIT_BUDGET and out == "" and "budget" in err
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    path = graph_file(tmp_path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with subprocess.Popen(
+        [sys.executable, "-m", "cosmopoly.cli", "triangulate", path, "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()  # far less than the whole payload has been read
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_OK
+    assert "Traceback" not in err and "Error" not in err
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -187,6 +241,18 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert record["command"] == "hstar" and "wall_time_s" in record
     code, out2, _ = invoke(capsys, "hstar", path, "--json", "--cache-dir", cache)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "command", ["info", "lattice-points", "facets", "triangulate", "hstar", "volume", "verify"]
+)
+def test_cache_keyed_on_labeled_graph(tmp_path, capsys, command):
+    cache = str(tmp_path / "cache")
+    for i, text in enumerate(["0 1\n1 2\n", "1 0\n2 1\n", "1 2\n0 1\n"]):
+        path = graph_file(tmp_path, text, name=f"g{i}.txt")
+        _, uncached, _ = invoke(capsys, command, path, "--json")
+        _, cached, _ = invoke(capsys, command, path, "--json", "--cache-dir", cache)
+        assert cached == uncached
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

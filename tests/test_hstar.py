@@ -254,6 +254,11 @@ def test_dispatcher_auto_on_theta_runs_visibility():
     assert hstar(theta_graph(1, 2, 2)) == theta_hstar(1, 2, 2)
 
 
+def test_dispatcher_visibility_per_component_with_order_seed():
+    for g in [disjoint_union(triangle(), single_edge()), disjoint_union(bundle(2), loop_graph(1))]:
+        assert hstar(g, "visibility", order_seed=7) == hstar_blocks(g)
+
+
 def test_dispatcher_refuses_oversize():
     pairs = [(i, (i + 1) % 20) for i in range(20)] + [(i, (i + 3) % 20) for i in range(20)]
     g = Multigraph.from_pairs(20, pairs)

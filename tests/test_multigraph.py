@@ -133,7 +133,7 @@ def test_connected_subgraphs_match_oracle(g):
 
 def test_connected_subgraphs_budget():
     with pytest.raises(BudgetExceeded):
-        list(connected_subgraphs(triangle(), limit=4))
+        list(connected_subgraphs(triangle(), budget=4))
 
 
 def test_simple_paths_examples():
