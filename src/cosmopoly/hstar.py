@@ -191,14 +191,13 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 @dataclass(frozen=True)
 class AnchorPoint:
     """Strictly positive rational point of coordinate sum 1, certified to miss
-    every cell-facet hyperplane exactly."""
+    every cell-facet hyperplane exactly, together with the visibility
+    histogram of the cells it was certified against: ``visible_counts[i]``
+    cells have exactly i facets visible from the anchor."""
 
     coords: tuple[Fraction, ...]
     perturbation_index: int
-
-    def scaled_integers(self) -> list[int]:
-        scale = math.lcm(*(c.denominator for c in self.coords))
-        return [int(c * scale) for c in self.coords]
+    visible_counts: tuple[int, ...]
 
 
 def _base_anchor(g: Multigraph) -> list[Fraction]:
@@ -223,30 +222,35 @@ def _perturbed_anchor(g: Multigraph, index: int) -> list[Fraction]:
 _MAX_ANCHOR_RETRIES = 32
 
 
-def _facet_solve(simplex: Simplex, anchor_ints: Sequence[int]) -> list[Fraction]:
-    """Solve M^T y = Q for the cell's point matrix M; y_j is, up to a positive
-    factor, the value at the anchor of the facet functional opposite point j,
-    normalized positive on point j."""
-    matrix = [[p.coords[k] for p in simplex] for k in range(len(anchor_ints))]
-    y, _det = solve_exact(matrix, list(anchor_ints))
-    return y
-
-
 def build_anchor(g: Multigraph, simplices: Sequence[Simplex]) -> AnchorPoint:
-    """General-position anchor for half-open decomposition.
+    """General-position anchor for half-open decomposition, with the count
+    of cells per number of visible facets.
 
     The base point weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
     1/(2|E|(|V|+1)); if it hits a facet hyperplane of some cell, a
     deterministic schedule of shrinking alternating perturbations is tried.
+    One exact integer solve per cell both certifies the candidate and counts
+    the cell's visible facets.
     """
     for index in range(_MAX_ANCHOR_RETRIES + 1):
         q = _perturbed_anchor(g, index)
         if any(c <= 0 for c in q):
             continue
-        anchor = AnchorPoint(tuple(q), index)
-        ints = anchor.scaled_integers()
-        if all(all(v != 0 for v in _facet_solve(s, ints)) for s in simplices):
-            return anchor
+        scale = math.lcm(*(c.denominator for c in q))
+        ints = [int(c * scale) for c in q]
+        # Per cell, y with sum_j y_j p_j = Q over its points p_j: y_j is, up to
+        # a positive factor, the value at Q of the facet functional opposite
+        # p_j, normalized positive on p_j, so facet j is visible iff y_j < 0.
+        # The p_j have coordinate sum 1, so the y_j sum to scale > 0 and at
+        # most len(ints) - 1 facets of a cell are visible.
+        counts = [0] * len(ints)
+        for s in simplices:
+            y_scaled, det = solve_exact(list(zip(*(p.coords for p in s))), ints)
+            if 0 in y_scaled:
+                break
+            counts[sum(1 for v in y_scaled if (v < 0) != (det < 0))] += 1
+        else:
+            return AnchorPoint(tuple(q), index, tuple(counts))
     raise AnchorFailure("no general-position anchor within the retry schedule")
 
 
@@ -258,21 +262,12 @@ def hstar_visibility(
 ) -> IntPolynomial:
     """h* by counting, per cell, how many of its facets are visible from the
     anchor: h*_i is the number of cells with exactly i visible facets.
-    Exact rational arithmetic throughout."""
+    Exact integer arithmetic throughout, one solve per cell."""
     if not is_connected(g):
         raise DisconnectedGraph("visibility route requires a connected graph")
     if simplices is None:
         simplices = build_triangulation(g, order, budget)
-    anchor = build_anchor(g, simplices)
-    ints = anchor.scaled_integers()
-    counts = [0] * (len(g.edges) + 1)
-    for s in simplices:
-        y = _facet_solve(s, ints)
-        visible = sum(1 for v in y if v < 0)
-        if visible >= len(counts):
-            counts.extend([0] * (visible - len(counts) + 1))
-        counts[visible] += 1
-    return IntPolynomial(counts)
+    return IntPolynomial(build_anchor(g, simplices).visible_counts)
 
 
 # ---------------------------------------------------------------------------

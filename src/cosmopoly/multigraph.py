@@ -460,8 +460,11 @@ def simple_paths(g: Multigraph) -> Iterator[Path]:
             vertices.pop()
             edges.pop()
 
-    for start in range(g.vertex_count):
-        yield from extend([start], [], {start})
+    try:
+        for start in range(g.vertex_count):
+            yield from extend([start], [], {start})
+    finally:
+        del extend  # extend holds itself through its closure; free the search state now
 
 
 def simple_cycles(g: Multigraph) -> Iterator[Cycle]:
@@ -495,8 +498,11 @@ def simple_cycles(g: Multigraph) -> Iterator[Cycle]:
                 vertices.pop()
                 edges.pop()
 
-    for start in range(g.vertex_count):
-        yield from search(start, [start], [], {start})
+    try:
+        for start in range(g.vertex_count):
+            yield from search(start, [start], [], {start})
+    finally:
+        del search  # search holds itself through its closure; free the search state now
 
 
 def bridges(g: Multigraph) -> list[int]:

@@ -217,5 +217,8 @@ def _count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | No
         for i, c in touched:
             partial[i] -= c * xhi
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; free the search state now
     return count

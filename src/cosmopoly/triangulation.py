@@ -104,7 +104,10 @@ def enumerate_triangulation(
                 rec(i + 1, mask | (1 << i))
                 chosen.pop()
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; free the search state now
 
     # maximality audit: an extendable cell signals maximal obstruction-free
     # sets of cardinality above |V| + |E|

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: subset scans, permutation scans and
 rational Gaussian elimination, sharing no code with the library paths they
-certify.
+certify.  The rational solve and the two-pass visibility count are the
+routes the integer kernel and the fused visibility pass replaced; the
+latter takes only the anchor perturbation schedule from the library.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 from hypothesis import strategies as st
 
+from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, _perturbed_anchor
 from cosmopoly.multigraph import Multigraph
 
 
@@ -183,6 +186,76 @@ def matrix_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def solve_rational(matrix, rhs) -> tuple[list[Fraction], int]:
+    """Solve A x = b for square integer A; returns (x, det A).
+
+    Forward elimination is fraction-free (Bareiss); back substitution uses
+    rationals.  Raises ValueError on a singular matrix.
+    """
+    n = len(matrix)
+    a = [list(row) + [int(rhs[i])] for i, row in enumerate(matrix)]
+    if any(len(row) != n + 1 for row in a):
+        raise ValueError("matrix must be square and match rhs length")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix")
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            factor = row_i[k]
+            for j in range(k + 1, n + 1):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    if a[n - 1][n - 1] == 0:
+        raise ValueError("singular matrix")
+    det = sign * a[n - 1][n - 1]
+    x: list[Fraction] = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = Fraction(a[i][n])
+        for j in range(i + 1, n):
+            s -= a[i][j] * x[j]
+        x[i] = s / a[i][i]
+    return x, det
+
+
+def two_pass_visibility(g: Multigraph, simplices) -> tuple[tuple[Fraction, ...], int, list[int]]:
+    """Visibility h* by certifying an anchor over all cells, then solving
+    every cell again to count its visible facets, with rational solves.
+
+    Returns (anchor coords, perturbation index, h* coefficients).  The
+    perturbation schedule is the library's: this checks the solves and the
+    counting, not the choice of candidate points.
+    """
+    for index in range(_MAX_ANCHOR_RETRIES + 1):
+        q = _perturbed_anchor(g, index)
+        if any(c <= 0 for c in q):
+            continue
+        scale = lcm(*(c.denominator for c in q))
+        ints = [int(c * scale) for c in q]
+        if all(all(v != 0 for v in barycentric(s, ints)) for s in simplices):
+            break
+    else:
+        raise AssertionError("no general-position anchor within the retry schedule")
+    visible = Counter(sum(1 for v in barycentric(s, ints) if v < 0) for s in simplices)
+    return tuple(q), index, [visible[i] for i in range(max(visible) + 1)]
+
+
+def barycentric(simplex, point) -> list[Fraction]:
+    """The y with point = sum_j y_j p_j over the simplex's points p_j."""
+    matrix = [[p.coords[k] for p in simplex] for k in range(len(point))]
+    return solve_rational(matrix, point)[0]
 
 
 @st.composite

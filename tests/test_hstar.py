@@ -1,8 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import cosmopoly.hstar as hstar_module
 from cosmopoly.errors import (
     DisconnectedGraph,
     NoMethodAvailable,
@@ -43,9 +46,10 @@ from cosmopoly.multigraph import (
     triangle,
 )
 from cosmopoly.polytope import dimension
+from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import build_triangulation
 
-from oracles import small_multigraphs
+from oracles import barycentric, small_multigraphs, two_pass_visibility
 
 
 def poly(*coeffs):
@@ -167,6 +171,81 @@ def test_anchor_strictly_inside_every_facet(g):
     anchor = build_anchor(g, build_triangulation(g))
     for f in facet_inequalities(g):
         assert sum(c * q for c, q in zip(f.normal, anchor.coords)) > 0
+
+
+def _point_on_a_cell_facet_hyperplane(cells, q):
+    """A strictly positive point of coordinate sum 1 on the hyperplane of
+    some cell facet, found on a segment from q towards a unit vector.
+
+    Barycentric coordinates are linear in the point, so one that changes
+    sign along the segment vanishes at a point of it, which is strictly
+    positive with coordinate sum 1 like both ends.
+    """
+    m = len(q)
+    for i in range(m):
+        r = [Fraction(9, 10) * (k == i) + Fraction(1, 10 * m) for k in range(m)]
+        scale = math.lcm(*(c.denominator for c in q + r))
+        for s in cells:
+            yq = barycentric(s, [int(c * scale) for c in q])
+            yr = barycentric(s, [int(c * scale) for c in r])
+            for a, b in zip(yq, yr):
+                if a * b < 0:
+                    lam = a / (a - b)
+                    return [(1 - lam) * x + lam * y for x, y in zip(q, r)]
+    raise AssertionError("no cell facet hyperplane crosses the segments")
+
+
+def test_anchor_retry_when_base_point_hits_a_facet_hyperplane(monkeypatch):
+    g = triangle()
+    cells = build_triangulation(g)
+    schedule = hstar_module._perturbed_anchor
+    on_hyperplane = _point_on_a_cell_facet_hyperplane(cells, schedule(g, 0))
+    monkeypatch.setattr(
+        hstar_module,
+        "_perturbed_anchor",
+        lambda g, index: on_hyperplane if index == 0 else schedule(g, index),
+    )
+    anchor = build_anchor(g, cells)
+    assert anchor.perturbation_index == 1
+    assert anchor.coords == tuple(schedule(g, 1))
+    assert hstar_visibility(g, simplices=cells) == hstar_closed_multicycle((1, 1, 1))
+
+
+def test_visibility_one_solve_per_cell(monkeypatch):
+    calls = []
+    solve = hstar_module.solve_exact
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(hstar_module, "solve_exact", counted)
+    g = multicycle((2, 1, 1))
+    cells = build_triangulation(g)
+    assert hstar_visibility(g, simplices=cells) == hstar_closed_multicycle((2, 1, 1))
+    assert len(cells) == 160
+    assert len(calls) == len(cells)
+
+
+def _relabeled(g: Multigraph, rng: random.Random) -> Multigraph:
+    """Random vertex permutation, edge order and endpoint order."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    pairs = [(perm[e.u], perm[e.v]) for e in g.edges]
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(pairs)
+    return Multigraph.from_pairs(g.vertex_count, pairs)
+
+
+def test_visibility_matches_two_pass_oracle():
+    rng = random.Random(3)
+    for g in enumerate_connected_multigraphs(6):
+        for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
+            cells = build_triangulation(h)
+            coords, index, coeffs = two_pass_visibility(h, cells)
+            anchor = build_anchor(h, cells)
+            assert (anchor.coords, anchor.perturbation_index) == (coords, index)
+            assert hstar_visibility(h, simplices=cells).coeffs == tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

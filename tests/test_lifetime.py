@@ -1,0 +1,41 @@
+"""Searches free their state when they return.
+
+A recursive closure that refers to itself through its own cell forms a
+reference cycle, which keeps the whole search state alive until the next
+full collection; in a long run that shows as resident memory that climbs
+with every call.
+"""
+
+import gc
+
+import pytest
+
+from cosmopoly.hstar import hstar_ehrhart
+from cosmopoly.multigraph import cycle_graph, simple_cycles, simple_paths, theta_graph, triangle
+from cosmopoly.polytope import count_dilate_points
+from cosmopoly.sweep import verify_graph
+from cosmopoly.triangulation import build_triangulation
+
+CALLS = {
+    "build_triangulation": lambda: build_triangulation(theta_graph(1, 1, 2)),
+    "count_dilate_points": lambda: count_dilate_points(cycle_graph(3), 3),
+    "hstar_ehrhart": lambda: hstar_ehrhart(triangle()),
+    "verify_graph": lambda: verify_graph(triangle()),
+    "simple_paths": lambda: list(simple_paths(theta_graph(1, 1, 2))),
+    "simple_paths_abandoned": lambda: next(simple_paths(theta_graph(1, 1, 2))),
+    "simple_cycles": lambda: list(simple_cycles(theta_graph(1, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_call_leaves_no_cyclic_garbage(name):
+    call = CALLS[name]
+    call()  # warm up anything built once per process
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
