@@ -26,6 +26,7 @@ from .errors import (
     GraphError,
     GraphFileError,
     TheoremViolation,
+    as_budget,
 )
 from .grobner import default_good_order, obstruction_set, reduced_generators
 from .hstar import (
@@ -41,7 +42,7 @@ from .sweep import (
     sweep_upper_bound,
     verify_graph,
 )
-from .triangulation import build_triangulation, decorated_view
+from .triangulation import decorated_view, enumerate_triangulation
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -288,9 +289,10 @@ def _decorated_dump(g: Multigraph, simplex, idx: int) -> str:
 
 
 def cmd_triangulate(g: Multigraph, args) -> dict:
-    order = default_good_order(g, seed=args.order_seed)
-    obs = obstruction_set(g, order, args.budget_nodes)
-    simplices = build_triangulation(g, order, args.budget_nodes)
+    # default_good_order is good on every graph, so no goodness check is needed
+    bud = as_budget(args.budget_nodes)
+    obs = obstruction_set(g, default_good_order(g, seed=args.order_seed), bud)
+    simplices = enumerate_triangulation(g, obs, bud)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "simplex_count": len(simplices),

@@ -107,8 +107,8 @@ def default_good_order(g: Multigraph, seed: int | None = None) -> TermOrder:
     (descending), then edge z's, t's and vertex z's, each ascending.
 
     With ``seed`` the interior of each class is shuffled reproducibly, which
-    is useful for probing order dependence; goodness is not assumed either
-    way and should be confirmed with :func:`is_good_order`.
+    is useful for probing order dependence.  Either way the class ranking
+    holds, so every order returned passes :func:`is_good_order`.
     """
     pts = lattice_points(g)
     by_kind: dict[str, list[LatticePoint]] = {}

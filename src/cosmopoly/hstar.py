@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolation,
     as_budget,
 )
-from .grobner import TermOrder, default_good_order
+from .grobner import default_good_order
 from .intlinalg import solve_exact
 from .multigraph import (
     BUNDLE,
@@ -254,19 +254,14 @@ def build_anchor(g: Multigraph, simplices: Sequence[Simplex]) -> AnchorPoint:
     raise AnchorFailure("no general-position anchor within the retry schedule")
 
 
-def hstar_visibility(
-    g: Multigraph,
-    order: TermOrder | None = None,
-    simplices: Sequence[Simplex] | None = None,
-    budget: Budget | int | None = None,
-) -> IntPolynomial:
-    """h* by counting, per cell, how many of its facets are visible from the
-    anchor: h*_i is the number of cells with exactly i visible facets.
-    Exact integer arithmetic throughout, one solve per cell."""
+def hstar_visibility(g: Multigraph, simplices: Sequence[Simplex]) -> IntPolynomial:
+    """h* from the cells of a unimodular triangulation of the connected graph
+    ``g`` (see :func:`cosmopoly.triangulation.build_triangulation`), by
+    counting, per cell, how many of its facets are visible from the anchor:
+    h*_i is the number of cells with exactly i visible facets.  Exact integer
+    arithmetic throughout, one solve per cell."""
     if not is_connected(g):
         raise DisconnectedGraph("visibility route requires a connected graph")
-    if simplices is None:
-        simplices = build_triangulation(g, order, budget)
     return IntPolynomial(build_anchor(g, simplices).visible_counts)
 
 
@@ -274,15 +269,12 @@ def hstar_visibility(
 # Ehrhart route
 
 
-def hstar_ehrhart(
-    g: Multigraph,
-    budget: Budget | int | None = None,
-    check_extra_dilate: bool = False,
-) -> IntPolynomial:
+def hstar_ehrhart(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
     """h* by alternating-sum inversion of the dilate counts N(0..|E|).
 
-    Only |E| + 1 dilates are needed because deg h* = |E|; with
-    ``check_extra_dilate`` one more dilate cross-checks that truncation.
+    Only |E| + 1 dilates are needed because deg h* = |E|;
+    :func:`ehrhart_count_from_hstar` predicts any further dilate from the
+    result.
     """
     if not is_connected(g):
         raise DisconnectedGraph("ehrhart route requires a connected graph")
@@ -300,16 +292,7 @@ def hstar_ehrhart(
         )
     if h[0] != 1 or any(x < 0 for x in h):
         raise TheoremViolation(f"inverted h* is not in normal form: {h}")
-    poly = IntPolynomial(h)
-    if check_extra_dilate:
-        t = ne + 1
-        predicted = sum(h[k] * math.comb(t - k + d, d) for k in range(ne + 1))
-        actual = count_dilate_points(g, t, bud)
-        if predicted != actual:
-            raise TheoremViolation(
-                f"dilate {t} count {actual} disagrees with reconstruction {predicted}"
-            )
-    return poly
+    return IntPolynomial(h)
 
 
 def ehrhart_count_from_hstar(h: IntPolynomial, d: int, t: int) -> int:
@@ -335,7 +318,7 @@ def _hstar_block(g: Multigraph, block: BlockClass, budget: Budget | int | None) 
     if block.tag == MULTICYCLE:
         return hstar_closed_multicycle(block.multiplicities)
     sub, _ = induced_by_edges(g, block.edge_ids)
-    return hstar_visibility(sub, budget=budget)
+    return hstar_visibility(sub, build_triangulation(sub, budget=budget))
 
 
 def hstar_blocks(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
@@ -408,7 +391,7 @@ def hstar(
         return per_component(
             g,
             lambda sub: hstar_visibility(
-                sub, order=default_good_order(sub, seed=order_seed), budget=bud
+                sub, build_triangulation(sub, default_good_order(sub, seed=order_seed), bud)
             ),
         )
     return per_component(g, lambda sub: hstar_ehrhart(sub, bud))
@@ -418,16 +401,9 @@ def hstar(
 # Statistic polynomial
 
 
-def statistic_polynomial(
-    g: Multigraph,
-    order: TermOrder | None = None,
-    simplices: Sequence[Simplex] | None = None,
-    budget: Budget | int | None = None,
-) -> IntPolynomial:
-    """Sum over triangulation cells of z^(squiggly + double edges); conjectured
-    equal to h*, and provably so on multitrees and multicycles."""
-    if simplices is None:
-        simplices = build_triangulation(g, order, budget)
+def statistic_polynomial(g: Multigraph, simplices: Sequence[Simplex]) -> IntPolynomial:
+    """Sum over the given triangulation cells of z^(squiggly + double edges);
+    conjectured equal to h*, and provably so on multitrees and multicycles."""
     counts: list[int] = []
     for s in simplices:
         sq, db = sq_db_counts(decorated_view(s, g))
@@ -531,13 +507,9 @@ def check_upper_bound_conjecture(g: Multigraph, h: IntPolynomial) -> ConjectureF
 
 
 def check_statistic_conjecture(
-    g: Multigraph,
-    h: IntPolynomial,
-    order: TermOrder | None = None,
-    simplices: Sequence[Simplex] | None = None,
-    budget: Budget | int | None = None,
+    g: Multigraph, h: IntPolynomial, simplices: Sequence[Simplex]
 ) -> ConjectureFinding:
-    stat = statistic_polynomial(g, order=order, simplices=simplices, budget=budget)
+    stat = statistic_polynomial(g, simplices)
     if stat == h:
         return ConjectureFinding("statistic", "HOLDS", f"statistic {stat} equals h*")
     return ConjectureFinding("statistic", "VIOLATED", f"statistic {stat} differs from h* {h}")

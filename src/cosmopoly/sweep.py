@@ -144,11 +144,8 @@ def verify_graph(
     if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
         try:
             if is_connected(g):
-                order = default_good_order(g, seed=order_seed)
-                cells = build_triangulation(g, order, bud)
-                methods["visibility"] = hstar_visibility(
-                    g, order=order, simplices=cells, budget=bud
-                )
+                cells = build_triangulation(g, default_good_order(g, seed=order_seed), bud)
+                methods["visibility"] = hstar_visibility(g, cells)
             else:
                 methods["visibility"] = hstar(g, "visibility", bud, order_seed)
         except BudgetExceeded as exc:
@@ -174,9 +171,7 @@ def verify_graph(
     report.theorem_checks = check_structure_theorems(g, h)
     report.conjectures.append(check_upper_bound_conjecture(g, h))
     if cells is not None:
-        report.conjectures.append(
-            check_statistic_conjecture(g, h, order=order, simplices=cells, budget=bud)
-        )
+        report.conjectures.append(check_statistic_conjecture(g, h, cells))
     return report
 
 

@@ -55,8 +55,10 @@ def enumerate_triangulation(
     cells of the triangulation induced by the given obstruction set.
 
     Backtracks over the canonically ordered lattice points with bitmask
-    subset tests.  After enumeration, every cell is checked to be maximal
-    (no further point can be added obstruction-free); a violation means the
+    subset tests.  Each cell is certified maximal where the search completes
+    it: no later point can be added obstruction-free.  That suffices, since
+    any larger obstruction-free set contains a cell found by the search
+    followed by a later point.  A violation raises ObstructionViolation: the
     obstruction set does not define a pure complex of the expected dimension.
     """
     if not is_connected(g):
@@ -66,17 +68,13 @@ def enumerate_triangulation(
     n = len(points)
     target = g.vertex_count + len(g.edges)
     index = {p: i for i, p in enumerate(points)}
-    obs_masks: list[int] = []
+    # group each obstruction under its highest point: it can only complete
+    # when that point is added, points being taken in ascending index order
+    by_max: list[list[int]] = [[] for _ in range(n)]
     for obs in obstructions:
         mask = 0
         for p in obs:
             mask |= 1 << index[p]
-        obs_masks.append(mask)
-
-    # group each obstruction under its highest point: it can only complete
-    # when that point is added, points being taken in ascending index order
-    by_max: list[list[int]] = [[] for _ in range(n)]
-    for mask in obs_masks:
         top = mask.bit_length() - 1
         by_max[top].append(mask & ~(1 << top))
 
@@ -87,19 +85,24 @@ def enumerate_triangulation(
         bud.spend()
         have = len(chosen)
         if have == target:
+            for i in range(pos, n):
+                for rest in by_max[i]:
+                    if rest & ~mask == 0:
+                        break
+                else:
+                    raise ObstructionViolation(
+                        f"cell {[points[j].name for j in chosen]} extends by {points[i].name}; "
+                        "maximal obstruction-free sets exceed |V|+|E| points"
+                    )
             found.append(tuple(chosen))
-            return
-        if have + (n - pos) < target:
             return
         for i in range(pos, n):
             if have + (n - i) < target:
                 break
-            ok = True
             for rest in by_max[i]:
                 if rest & ~mask == 0:
-                    ok = False
                     break
-            if ok:
+            else:
                 chosen.append(i)
                 rec(i + 1, mask | (1 << i))
                 chosen.pop()
@@ -108,30 +111,6 @@ def enumerate_triangulation(
         rec(0, 0)
     finally:
         del rec  # rec holds itself through its closure; free the search state now
-
-    # maximality audit: an extendable cell signals maximal obstruction-free
-    # sets of cardinality above |V| + |E|
-    by_point: list[list[int]] = [[] for _ in range(n)]
-    for mask in obs_masks:
-        i = 0
-        rest = mask
-        while rest:
-            if rest & 1:
-                by_point[i].append(mask & ~(1 << i))
-            rest >>= 1
-            i += 1
-    for combo in found:
-        cell_mask = 0
-        for i in combo:
-            cell_mask |= 1 << i
-        for i in range(n):
-            if cell_mask >> i & 1:
-                continue
-            if not any(rest & ~cell_mask == 0 for rest in by_point[i]):
-                raise ObstructionViolation(
-                    f"cell {[points[j].name for j in combo]} extends by {points[i].name}; "
-                    "maximal obstruction-free sets exceed |V|+|E| points"
-                )
     return [tuple(points[i] for i in combo) for combo in found]
 
 

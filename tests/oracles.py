@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, lcm
 
 from hypothesis import strategies as st
 
 from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, _perturbed_anchor
 from cosmopoly.multigraph import Multigraph
+from cosmopoly.polytope import lattice_points
 
 
 def brute_cycle_edge_sets(g: Multigraph) -> set[frozenset[int]]:
@@ -134,6 +135,23 @@ def brute_directed_paths(g: Multigraph) -> set[tuple[tuple[int, ...], tuple[int,
                 if ok and len(set(verts)) == len(verts):
                     out.add((tuple(verts), tuple(combo)))
     return out
+
+
+def brute_cells(g: Multigraph, obstructions) -> tuple[set[frozenset], bool]:
+    """The obstruction-free point sets of size |V| + |E|, and whether any
+    obstruction-free set of size |V| + |E| + 1 exists, by scanning every
+    subset of that size."""
+    obs = [frozenset(o) for o in obstructions]
+    points = lattice_points(g)
+    target = g.vertex_count + len(g.edges)
+
+    def free(c) -> bool:
+        s = frozenset(c)
+        return not any(o <= s for o in obs)
+
+    cells = {frozenset(c) for c in combinations(points, target) if free(c)}
+    larger = any(free(c) for c in combinations(points, target + 1))
+    return cells, larger
 
 
 def series_count(h_coeffs, d: int, t: int) -> int:

@@ -15,6 +15,7 @@ from cosmopoly.hstar import (
     hstar_blocks,
     hstar_closed_bundle,
     hstar_closed_multicycle,
+    hstar,
     hstar_ehrhart,
     hstar_visibility,
     statistic_polynomial,
@@ -59,11 +60,11 @@ def test_criterion_1_single_edge():
     g = single_edge()
     expected = IntPolynomial([1, 3])
     ok = (
-        hstar_visibility(g) == expected
+        hstar_visibility(g, build_triangulation(g)) == expected
         and hstar_ehrhart(g) == expected
         and hstar_blocks(g) == expected
         and len(build_triangulation(g)) == 4
-        and statistic_polynomial(g) == expected
+        and statistic_polynomial(g, build_triangulation(g)) == expected
     )
     report(1, ok, "single edge: three methods, 4 cells, statistic all equal 1 + 3z", t0)
 
@@ -74,7 +75,11 @@ def test_criterion_2_trees():
     for m, shapes in ((2, (path_graph(2), star_graph(2))), (3, (path_graph(3), star_graph(3)))):
         expected = ONE_PLUS_3Z**m
         for g in shapes:
-            ok = ok and hstar_blocks(g) == expected and hstar_visibility(g) == expected
+            ok = (
+                ok
+                and hstar_blocks(g) == expected
+                and hstar_visibility(g, build_triangulation(g)) == expected
+            )
             if m == 2:
                 ok = ok and hstar_ehrhart(g) == expected
     report(2, ok, "trees with 2 and 3 edges all give (1 + 3z)^m", t0)
@@ -85,7 +90,7 @@ def test_criterion_3_loops_palindromicity():
     ok = (
         hstar_blocks(loop_graph(1)) == ONE_PLUS_Z
         and hstar_blocks(loop_graph(2)) == ONE_PLUS_Z**2
-        and hstar_visibility(loop_graph(2)) == ONE_PLUS_Z**2
+        and hstar(loop_graph(2), "visibility") == ONE_PLUS_Z**2
         and hstar_blocks(loop_graph(2)).is_palindromic()
         and not hstar_blocks(single_edge()).is_palindromic()
         and not hstar_blocks(triangle()).is_palindromic()
@@ -102,8 +107,8 @@ def test_criterion_4_bundles():
         ok = (
             ok
             and hstar_closed_bundle(m) == h
-            and hstar_visibility(g) == h
-            and statistic_polynomial(g) == h
+            and hstar_visibility(g, build_triangulation(g)) == h
+            and statistic_polynomial(g, build_triangulation(g)) == h
         )
     ok = ok and all(hstar_closed_bundle(m)(1) == 2**m * (1 + m) for m in (1, 2, 3))
     report(4, ok, "bundles I_2, I_3: closed = visibility = statistic; Vol = 2^m(1+m)", t0)
@@ -116,7 +121,7 @@ def test_criterion_5_triangle():
     cells = build_triangulation(g)
     dilates = [count_dilate_points(g, t) for t in range(4)]
     ok = (
-        hstar_visibility(g, simplices=cells) == h
+        hstar_visibility(g, cells) == h
         and hstar_ehrhart(g) == h
         and hstar_blocks(g) == h
         and len(cells) == 56
@@ -133,11 +138,11 @@ def test_criterion_6_multicycle_211():
     cells = build_triangulation(g)
     ok = (
         hstar_closed_multicycle((2, 1, 1)) == h
-        and hstar_visibility(g, simplices=cells) == h
+        and hstar_visibility(g, cells) == h
         and h(1) == 160
         and len(cells) == 160
         and validate_multicycle_structure(g, cells).simplex_count == 160
-        and statistic_polynomial(g, simplices=cells) == h
+        and statistic_polynomial(g, cells) == h
     )
     note = ""
     try:
@@ -152,9 +157,9 @@ def test_criterion_7_one_sum_and_union():
     t0 = time.perf_counter()
     target = hstar_closed_multicycle((1, 1, 1)) ** 2
     glued = one_sum(triangle(), triangle())
-    glued_h = hstar_visibility(glued)  # full run, no block shortcut
+    glued_h = hstar_visibility(glued, build_triangulation(glued))  # full run, no block shortcut
     union = disjoint_union(triangle(), triangle())
-    union_h = hstar_visibility(triangle()) * hstar_visibility(triangle())
+    union_h = hstar(triangle(), "visibility") * hstar(triangle(), "visibility")
     ok = glued_h == target and union_h == target and hstar_blocks(union) == target
     report(7, ok, "two triangles glued or disjoint: both ((1+3z)^3 - (2z)^3)^2", t0)
 
@@ -164,7 +169,7 @@ def test_criterion_8_structure_sweep():
     checked = 0
     ok = True
     for g in enumerate_connected_multigraphs(7):
-        h = hstar_visibility(g)
+        h = hstar_visibility(g, build_triangulation(g))
         check_structure_theorems(g, h)  # raises on degree/h1/bound/equality failure
         ok = ok and check_upper_bound_conjecture(g, h).status == "HOLDS"
         checked += 1
@@ -184,7 +189,7 @@ def test_criterion_9_theta_consistency():
     cells = build_triangulation(k23)
     ok = ok and len(cells) == 3456
     ok = ok and check_statistic_conjecture(
-        k23, hstar_visibility(k23, simplices=cells), simplices=cells
+        k23, hstar_visibility(k23, cells), cells
     ).status in ("HOLDS", "VIOLATED")  # reported either way, computed exactly
     report(9, ok, "theta identities; K_{2,3} triangulation has 3456 cells", t0)
 

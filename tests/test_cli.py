@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import cosmopoly.grobner as grobner
 from cosmopoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -15,7 +16,7 @@ from cosmopoly.cli import (
     write_graph_text,
 )
 from cosmopoly.errors import GraphFileError
-from cosmopoly.multigraph import Multigraph, bundle, multicycle, triangle
+from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
 
 
 def invoke(capsys, *argv):
@@ -204,6 +205,34 @@ def test_budget_exit_code(tmp_path, capsys):
 def test_facets_budget_exit_code(tmp_path, capsys):
     path = graph_file(tmp_path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     code, out, err = invoke(capsys, "facets", path, "--budget-nodes", "5")
+    assert code == EXIT_BUDGET and out == "" and "budget" in err
+
+
+def test_triangulate_builds_obstruction_set_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = grobner.obstruction_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "obstruction_set", None)
+        if name.split(".")[0] == "cosmopoly" and held is original:
+            monkeypatch.setattr(module, "obstruction_set", counted)
+    path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
+    code, _, _ = invoke(capsys, "triangulate", path, "--json")
+    assert code == EXIT_OK and len(calls) == 1
+
+
+@pytest.mark.parametrize("g, spend", [(triangle(), 624), (theta_graph(1, 1, 2), 2519)])
+def test_triangulate_budget_at_one_build_spend(tmp_path, capsys, monkeypatch, g, spend):
+    # ``spend`` is what build_triangulation charges on g with the default order
+    monkeypatch.delenv("COSMOPOLY_CACHE", raising=False)
+    path = graph_file(tmp_path, write_graph_text(g))
+    code, _, _ = invoke(capsys, "triangulate", path, "--budget-nodes", str(spend))
+    assert code == EXIT_OK
+    code, out, err = invoke(capsys, "triangulate", path, "--budget-nodes", str(spend - 1))
     assert code == EXIT_BUDGET and out == "" and "budget" in err
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import cosmopoly.grobner as grobner
 from cosmopoly.errors import BudgetExceeded
 from cosmopoly.grobner import (
     CYCLIC,
@@ -33,6 +34,7 @@ from cosmopoly.polytope import (
     ZVERTEX,
     lattice_points,
 )
+from cosmopoly.sweep import enumerate_connected_multigraphs
 
 from oracles import small_multigraphs
 
@@ -78,6 +80,17 @@ def test_default_order_multicycle_layout():
 @pytest.mark.parametrize("g", CORPUS)
 def test_default_order_is_good(g):
     assert is_good_order(default_good_order(g), g)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_default_order_is_good_on_sweep(seed, monkeypatch):
+    # the triangulate command relies on this instead of checking each order;
+    # the second pass skips the class-ranking shortcut and checks every
+    # fundamental and cycle binomial
+    graphs = list(enumerate_connected_multigraphs(6))
+    assert all(is_good_order(default_good_order(g, seed), g) for g in graphs)
+    monkeypatch.setattr(grobner, "_class_ranked", lambda order, g: False)
+    assert all(is_good_order(default_good_order(g, seed), g) for g in graphs)
 
 
 def test_vertex_heavy_order_is_not_good():

@@ -45,7 +45,7 @@ from cosmopoly.multigraph import (
     theta_graph,
     triangle,
 )
-from cosmopoly.polytope import dimension
+from cosmopoly.polytope import count_dilate_points, dimension
 from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import build_triangulation
 
@@ -208,7 +208,7 @@ def test_anchor_retry_when_base_point_hits_a_facet_hyperplane(monkeypatch):
     anchor = build_anchor(g, cells)
     assert anchor.perturbation_index == 1
     assert anchor.coords == tuple(schedule(g, 1))
-    assert hstar_visibility(g, simplices=cells) == hstar_closed_multicycle((1, 1, 1))
+    assert hstar_visibility(g, cells) == hstar_closed_multicycle((1, 1, 1))
 
 
 def test_visibility_one_solve_per_cell(monkeypatch):
@@ -222,7 +222,7 @@ def test_visibility_one_solve_per_cell(monkeypatch):
     monkeypatch.setattr(hstar_module, "solve_exact", counted)
     g = multicycle((2, 1, 1))
     cells = build_triangulation(g)
-    assert hstar_visibility(g, simplices=cells) == hstar_closed_multicycle((2, 1, 1))
+    assert hstar_visibility(g, cells) == hstar_closed_multicycle((2, 1, 1))
     assert len(cells) == 160
     assert len(calls) == len(cells)
 
@@ -245,7 +245,7 @@ def test_visibility_matches_two_pass_oracle():
             coords, index, coeffs = two_pass_visibility(h, cells)
             anchor = build_anchor(h, cells)
             assert (anchor.coords, anchor.perturbation_index) == (coords, index)
-            assert hstar_visibility(h, simplices=cells).coeffs == tuple(coeffs)
+            assert hstar_visibility(h, cells).coeffs == tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +253,20 @@ def test_visibility_matches_two_pass_oracle():
 
 
 def test_visibility_examples():
-    assert hstar_visibility(single_edge()) == poly(1, 3)
-    assert hstar_visibility(loop_graph(1)) == poly(1, 1)
-    assert hstar_visibility(triangle()) == poly(1, 9, 27, 19)
+    assert hstar(single_edge(), "visibility") == poly(1, 3)
+    assert hstar(loop_graph(1), "visibility") == poly(1, 1)
+    assert hstar(triangle(), "visibility") == poly(1, 9, 27, 19)
 
 
 def test_ehrhart_examples():
     assert hstar_ehrhart(single_edge()) == poly(1, 3)
     assert hstar_ehrhart(loop_graph(1)) == poly(1, 1)
     assert hstar_ehrhart(triangle()) == poly(1, 9, 27, 19)
-    assert hstar_ehrhart(single_edge(), check_extra_dilate=True) == poly(1, 3)
+    # the truncation to |E| + 1 dilates predicts the next dilate
+    for g in [single_edge(), bundle(2)]:
+        t = len(g.edges) + 1
+        h = hstar_ehrhart(g)
+        assert ehrhart_count_from_hstar(h, dimension(g), t) == count_dilate_points(g, t)
 
 
 def test_ehrhart_reconstruction_roundtrip():
@@ -281,7 +285,7 @@ def test_blocks_examples():
 
 def test_multitree_is_product_of_bundles():
     assert hstar_blocks(multitree((2, 3))) == hstar_closed_bundle(2) * hstar_closed_bundle(3)
-    assert hstar_visibility(multitree((2, 2))) == hstar_closed_bundle(2) ** 2
+    assert hstar(multitree((2, 2)), "visibility") == hstar_closed_bundle(2) ** 2
 
 
 @pytest.mark.parametrize(
@@ -291,33 +295,36 @@ def test_multitree_is_product_of_bundles():
 )
 def test_methods_agree(g):
     h = hstar_blocks(g)
-    assert hstar_visibility(g) == h
+    assert hstar_visibility(g, build_triangulation(g)) == h
     if dimension(g) <= 6:
         assert hstar_ehrhart(g) == h
 
 
 def test_visibility_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
-        hstar_visibility(disjoint_union(single_edge(), single_edge()))
+        hstar_visibility(
+            disjoint_union(single_edge(), single_edge()), build_triangulation(single_edge())
+        )
 
 
 def test_union_multiplicativity_without_block_shortcut():
     parts = [triangle(), bundle(2)]
     union = disjoint_union(*parts)
-    product = hstar_visibility(parts[0]) * hstar_visibility(parts[1])
+    product = hstar(parts[0], "visibility") * hstar(parts[1], "visibility")
     assert hstar(union, method="visibility") == product
     assert hstar_blocks(union) == product
 
 
 def test_one_sum_multiplicativity_full_run():
     glued = one_sum(single_edge(), loop_graph(1))
-    left = hstar_visibility(glued)
-    assert left == hstar_visibility(single_edge()) * hstar_visibility(loop_graph(1))
+    left = hstar_visibility(glued, build_triangulation(glued))
+    assert left == hstar(single_edge(), "visibility") * hstar(loop_graph(1), "visibility")
 
 
 def test_volume_equals_cell_count():
     for g in [single_edge(), bundle(2), triangle(), multicycle((2, 1, 1))]:
-        assert hstar_visibility(g)(1) == len(build_triangulation(g))
+        cells = build_triangulation(g)
+        assert hstar_visibility(g, cells)(1) == len(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def test_dispatcher_explicit_methods():
 
 
 def test_statistic_single_edge():
-    assert statistic_polynomial(single_edge()) == poly(1, 3)
+    assert statistic_polynomial(single_edge(), build_triangulation(single_edge())) == poly(1, 3)
 
 
 @pytest.mark.parametrize(
@@ -370,13 +377,13 @@ def test_statistic_single_edge():
     ],
 )
 def test_statistic_identity_on_multitrees_and_multicycles(g, closed):
-    assert statistic_polynomial(g) == closed
+    assert statistic_polynomial(g, build_triangulation(g)) == closed
 
 
 def test_statistic_conjecture_on_theta():
     g = theta_graph(1, 1, 2)
-    h = hstar_visibility(g)
-    finding = check_statistic_conjecture(g, h)
+    cells = build_triangulation(g)
+    finding = check_statistic_conjecture(g, hstar_visibility(g, cells), cells)
     assert finding.status == "HOLDS"
 
 
@@ -389,7 +396,7 @@ def test_theta_closed_forms():
 
 def test_theta_matches_computed_hstar():
     for k, l, m in [(1, 1, 1), (1, 1, 2), (1, 2, 2)]:
-        assert theta_hstar(k, l, m) == hstar_visibility(theta_graph(k, l, m))
+        assert theta_hstar(k, l, m) == hstar(theta_graph(k, l, m), "visibility")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +463,7 @@ def test_h1_formula():
 def test_methods_agree_property(g):
     if not is_connected(g):
         return
-    assert hstar_visibility(g) == hstar_blocks(g)
+    assert hstar_visibility(g, build_triangulation(g)) == hstar_blocks(g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 17])
@@ -465,4 +472,4 @@ def test_hstar_independent_of_order_seed(seed):
 
     for g in [bundle(2), triangle(), theta_graph(1, 1, 2)]:
         order = default_good_order(g, seed=seed)
-        assert hstar_visibility(g, order=order) == hstar_visibility(g)
+        assert hstar_visibility(g, build_triangulation(g, order)) == hstar(g, "visibility")

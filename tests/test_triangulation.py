@@ -10,6 +10,7 @@ from cosmopoly.errors import (
     StructureViolation,
     WrongCardinality,
 )
+from cosmopoly.grobner import default_good_order, obstruction_set
 from cosmopoly.multigraph import (
     bundle,
     disjoint_union,
@@ -21,6 +22,7 @@ from cosmopoly.multigraph import (
     triangle,
 )
 from cosmopoly.polytope import lattice_points, point_by_name
+from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import (
     build_triangulation,
     decorated_view,
@@ -30,7 +32,7 @@ from cosmopoly.triangulation import (
     validate_multicycle_structure,
 )
 
-from oracles import small_multigraphs
+from oracles import brute_cells, small_multigraphs
 
 
 def name_sets(simplices):
@@ -99,6 +101,28 @@ def test_missing_obstructions_flagged_as_wrong_cardinality():
     # |V|+|E| sets cannot be maximal
     with pytest.raises(ObstructionViolation):
         enumerate_triangulation(single_edge(), [])
+
+
+def test_enumeration_matches_brute_cells():
+    # the full obstruction set, and each single obstruction dropped: the
+    # search returns exactly the brute-force cells, or raises exactly when a
+    # larger obstruction-free set exists
+    cases = raised = 0
+    for g in enumerate_connected_multigraphs(5):
+        obs = obstruction_set(g, default_good_order(g))
+        for drop in [None, *range(len(obs))]:
+            kept = [o for i, o in enumerate(obs) if i != drop]
+            cells, larger = brute_cells(g, kept)
+            cases += 1
+            if larger:
+                raised += 1
+                with pytest.raises(ObstructionViolation):
+                    enumerate_triangulation(g, kept)
+            else:
+                found = enumerate_triangulation(g, kept)
+                assert len(found) == len(cells)
+                assert {frozenset(s) for s in found} == cells
+    assert cases == 127 and 0 < raised < cases
 
 
 def test_decorated_views_single_edge():
