@@ -4,8 +4,9 @@ Commands: info, lattice-points, facets, triangulate, hstar, volume, verify,
 conjecture.  Identical input and flags produce byte-identical output; the
 content-addressed cache can only change wall time, never results.
 
-Exit codes: 0 ok, 1 internal error, 2 parse/usage error, 3 budget exceeded,
-4 check failure.
+Exit codes: 0 ok, 1 internal error, 2 parse or usage error (including a
+disconnected graph for a command that needs a connected one), 3 budget
+exceeded, 4 check failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import __version__
 from .errors import (
     BudgetExceeded,
     CosmopolyError,
+    DisconnectedGraph,
     GraphError,
     GraphFileError,
     TheoremViolation,
@@ -505,7 +507,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except GraphFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GraphError as exc:
+    except (GraphError, DisconnectedGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:

@@ -24,7 +24,7 @@ class DisconnectedGraph(CosmopolyError):
 
 
 class BudgetExceeded(CosmopolyError):
-    """A pruned search passed its node cap before finishing."""
+    """A search passed its node cap before finishing."""
 
 
 class WrongCardinality(CosmopolyError):

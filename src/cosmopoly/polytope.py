@@ -4,6 +4,12 @@ The polytope lives in R^(V u E) and is the convex hull, over all edges
 f = ij, of e_i + e_j - e_f, e_i - e_j + e_f and -e_i + e_j + e_f.  Its
 lattice points are those generators together with the unit vectors of all
 vertices and edges; everything here works with them exactly.
+
+The polytope has a regular unimodular triangulation, so it is IDP: the
+lattice points of its t-th dilate are exactly the sums of t of its own
+lattice points.  Dilates are therefore counted as sumsets, never by a search
+over coordinates; ``tests/oracles.py`` keeps a facet-pruned box search that
+does not assume IDP as the reference.
 """
 
 from __future__ import annotations
@@ -144,81 +150,56 @@ def facet_inequalities(g: Multigraph, budget: Budget | int | None = None) -> lis
 
 
 def count_dilate_points(g: Multigraph, t: int, budget: Budget | int | None = None) -> int:
-    """Number of lattice points in the t-th dilate, by pruned exact enumeration."""
+    """N(t), the number of lattice points in the t-th dilate.
+
+    The polytope has a unimodular triangulation, so it is IDP: every lattice
+    point of tP is a sum of t lattice points of P, and N(t) is the size of
+    the t-fold sumset of :func:`lattice_points`.  Building the k-th sumset
+    from the (k-1)-th spends |S_(k-1)| * |lattice points| budget nodes.
+    """
     return _count_points(g, t, strict=False, budget=budget)
 
 
 def count_interior_points(g: Multigraph, t: int, budget: Budget | int | None = None) -> int:
-    """Lattice points in the relative interior of the t-th dilate."""
+    """Lattice points in the relative interior of the t-th dilate: the points
+    of the t-fold sumset with c . x >= 1 for every facet normal c."""
     return _count_points(g, t, strict=True, budget=budget)
 
 
 def _count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | None) -> int:
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
+    if not is_connected(g):
+        raise DisconnectedGraph("dilate counting requires a connected graph")
     bud = as_budget(budget)
-    facets = facet_inequalities(g, bud)
-    normals = [f.normal for f in facets]
-    m = g.vertex_count + len(g.edges)
-    # The lattice points include the vertices of the polytope, so their
-    # coordinate box is the polytope's.
     pts = [p.coords for p in lattice_points(g)]
-    lo = [t * min(x[k] for x in pts) for k in range(m)]
-    hi = [t * max(x[k] for x in pts) for k in range(m)]
-
-    # suffix sums of the coordinate box, and per-inequality suffix maxima
-    suf_lo = [0] * (m + 1)
-    suf_hi = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        suf_lo[k] = suf_lo[k + 1] + lo[k]
-        suf_hi[k] = suf_hi[k + 1] + hi[k]
-    nineq = len(normals)
-    suf_max = [[0] * (m + 1) for _ in range(nineq)]
-    for i, c in enumerate(normals):
-        row = suf_max[i]
-        for k in range(m - 1, -1, -1):
-            row[k] = row[k + 1] + c[k] * hi[k]
-    per_coord: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i, c in enumerate(normals):
-        for k in range(m):
-            if c[k]:
-                per_coord[k].append((i, c[k]))
-    need = 1 if strict else 0
-    partial = [0] * nineq
+    m = g.vertex_count + len(g.edges)
+    # Every point of the t-fold sumset has coordinate sum t, so its last
+    # coordinate follows from the others and stays out of the code.  A sum of
+    # t points has each other coordinate in [t * lo, t * hi], a range of
+    # `base` values, so the signed-digit code sum x_k base^k over k < m - 1
+    # is injective on the sumset, and the code of a sum is the sum of the
+    # codes.
+    lo = min(min(x[:-1]) for x in pts)
+    base = t * (max(max(x[:-1]) for x in pts) - lo) + 1
+    codes = [sum(c * base**k for k, c in enumerate(x[:-1])) for x in pts]
+    sums = {0}
+    for _ in range(t):
+        bud.spend(len(sums) * len(codes))
+        sums = {s + c for s in sums for c in codes}
+    if not strict:
+        return len(sums)
+    normals = [f.normal for f in facet_inequalities(g, bud)]
+    # Subtracting t * lo from every digit makes each a plain base-`base` one.
+    shift = sum(t * lo * base**k for k in range(m - 1))
     count = 0
-
-    def rec(k: int, coord_sum: int) -> None:
-        nonlocal count
-        bud.spend()
-        if k == m:
-            if coord_sum == t and all(s >= need for s in partial):
-                count += 1
-            return
-        xlo = max(lo[k], t - coord_sum - suf_hi[k + 1])
-        xhi = min(hi[k], t - coord_sum - suf_lo[k + 1])
-        for i, c in per_coord[k]:
-            gap = need - partial[i] - suf_max[i][k + 1]
-            if gap > 0:
-                q = -((-gap) // c)  # ceil(gap / c)
-                if q > xlo:
-                    xlo = q
-        if xlo > xhi:
-            return
-        touched = per_coord[k]
-        for i, c in touched:
-            partial[i] += c * xlo
-        x = xlo
-        while x <= xhi:
-            rec(k + 1, coord_sum + x)
-            x += 1
-            if x <= xhi:
-                for i, c in touched:
-                    partial[i] += c
-        for i, c in touched:
-            partial[i] -= c * xhi
-
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # rec holds itself through its closure; free the search state now
+    for code in sums:
+        rest = code - shift
+        x = []
+        for _ in range(m - 1):
+            rest, digit = divmod(rest, base)
+            x.append(digit + t * lo)
+        x.append(t - sum(x))
+        if all(sum(c * v for c, v in zip(normal, x)) >= 1 for normal in normals):
+            count += 1
     return count

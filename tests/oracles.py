@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: subset scans, permutation scans and
 rational Gaussian elimination, sharing no code with the library paths they
-certify.  The rational solve and the two-pass visibility count are the
-routes the integer kernel and the fused visibility pass replaced; the
-latter takes only the anchor perturbation schedule from the library.
+certify.  The rational solve, the two-pass visibility count and the box
+counter of dilate points are the routes the integer kernel, the fused
+visibility pass and the IDP sumset replaced; the visibility oracle takes
+only the anchor perturbation schedule from the library, and the box counter
+only the lattice points and facets.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from math import comb, lcm
 
 from hypothesis import strategies as st
 
+from cosmopoly.errors import Budget, as_budget
 from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, _perturbed_anchor
 from cosmopoly.multigraph import Multigraph
-from cosmopoly.polytope import lattice_points
+from cosmopoly.polytope import facet_inequalities, lattice_points
 
 
 def brute_cycle_edge_sets(g: Multigraph) -> set[frozenset[int]]:
@@ -274,6 +277,93 @@ def barycentric(simplex, point) -> list[Fraction]:
     """The y with point = sum_j y_j p_j over the simplex's points p_j."""
     matrix = [[p.coords[k] for p in simplex] for k in range(len(point))]
     return solve_rational(matrix, point)[0]
+
+
+def box_count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | None) -> int:
+    """Lattice points of the t-th dilate (strict: of its relative interior),
+    by a facet-pruned search over the coordinate box.
+
+    This is the counter the IDP sumset in ``cosmopoly.polytope`` replaced.
+    It assumes nothing about the polytope beyond its facets.
+    """
+    if t < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    bud = as_budget(budget)
+    facets = facet_inequalities(g, bud)
+    normals = [f.normal for f in facets]
+    m = g.vertex_count + len(g.edges)
+    # The lattice points include the vertices of the polytope, so their
+    # coordinate box is the polytope's.
+    pts = [p.coords for p in lattice_points(g)]
+    lo = [t * min(x[k] for x in pts) for k in range(m)]
+    hi = [t * max(x[k] for x in pts) for k in range(m)]
+
+    # suffix sums of the coordinate box, and per-inequality suffix maxima
+    suf_lo = [0] * (m + 1)
+    suf_hi = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        suf_lo[k] = suf_lo[k + 1] + lo[k]
+        suf_hi[k] = suf_hi[k + 1] + hi[k]
+    nineq = len(normals)
+    suf_max = [[0] * (m + 1) for _ in range(nineq)]
+    for i, c in enumerate(normals):
+        row = suf_max[i]
+        for k in range(m - 1, -1, -1):
+            row[k] = row[k + 1] + c[k] * hi[k]
+    per_coord: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for i, c in enumerate(normals):
+        for k in range(m):
+            if c[k]:
+                per_coord[k].append((i, c[k]))
+    need = 1 if strict else 0
+    partial = [0] * nineq
+    count = 0
+
+    def rec(k: int, coord_sum: int) -> None:
+        nonlocal count
+        bud.spend()
+        if k == m:
+            if coord_sum == t and all(s >= need for s in partial):
+                count += 1
+            return
+        xlo = max(lo[k], t - coord_sum - suf_hi[k + 1])
+        xhi = min(hi[k], t - coord_sum - suf_lo[k + 1])
+        for i, c in per_coord[k]:
+            gap = need - partial[i] - suf_max[i][k + 1]
+            if gap > 0:
+                q = -((-gap) // c)  # ceil(gap / c)
+                if q > xlo:
+                    xlo = q
+        if xlo > xhi:
+            return
+        touched = per_coord[k]
+        for i, c in touched:
+            partial[i] += c * xlo
+        x = xlo
+        while x <= xhi:
+            rec(k + 1, coord_sum + x)
+            x += 1
+            if x <= xhi:
+                for i, c in touched:
+                    partial[i] += c
+        for i, c in touched:
+            partial[i] -= c * xhi
+
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; free the search state now
+    return count
+
+
+def relabeled(g: Multigraph, rng) -> Multigraph:
+    """Random vertex permutation, edge order and endpoint order."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    pairs = [(perm[e.u], perm[e.v]) for e in g.edges]
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(pairs)
+    return Multigraph.from_pairs(g.vertex_count, pairs)
 
 
 @st.composite

@@ -3,7 +3,6 @@ PASS/FAIL line.  Everything asserts exact integer equality."""
 
 import time
 
-from cosmopoly.errors import BudgetExceeded
 from cosmopoly.hstar import (
     IntPolynomial,
     ONE_PLUS_3Z,
@@ -143,14 +142,9 @@ def test_criterion_6_multicycle_211():
         and len(cells) == 160
         and validate_multicycle_structure(g, cells).simplex_count == 160
         and statistic_polynomial(g, cells) == h
+        and hstar_ehrhart(g, budget=5_000_000) == h
     )
-    note = ""
-    try:
-        ok = ok and hstar_ehrhart(g, budget=5_000_000) == h
-        note = " (ehrhart cross-check included)"
-    except BudgetExceeded:
-        note = " (ehrhart cross-check skipped under budget)"
-    report(6, ok, "multicycle (2,1,1): closed = visibility, Vol 160, structure + statistic" + note, t0)
+    report(6, ok, "multicycle (2,1,1): closed = visibility = ehrhart, Vol 160, structure + statistic", t0)
 
 
 def test_criterion_7_one_sum_and_union():

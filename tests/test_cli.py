@@ -191,6 +191,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == EXIT_PARSE and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [("triangulate", "triangulation enumeration"), ("facets", "facet description")],
+)
+def test_disconnected_graph_is_usage_error(tmp_path, capsys, command, message):
+    path = graph_file(tmp_path, "vertices 5\n0 1\n1 2\n2 0\n3 4\n")
+    code, out, err = invoke(capsys, command, path)
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"error: {message} requires a connected graph\n"
+
+
 def test_budget_exit_code(tmp_path, capsys):
     pairs = "\n".join(
         f"{i} {(i + 1) % 25}" for i in range(25)

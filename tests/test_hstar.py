@@ -49,7 +49,7 @@ from cosmopoly.polytope import count_dilate_points, dimension
 from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import build_triangulation
 
-from oracles import barycentric, small_multigraphs, two_pass_visibility
+from oracles import barycentric, relabeled, small_multigraphs, two_pass_visibility
 
 
 def poly(*coeffs):
@@ -227,20 +227,10 @@ def test_visibility_one_solve_per_cell(monkeypatch):
     assert len(calls) == len(cells)
 
 
-def _relabeled(g: Multigraph, rng: random.Random) -> Multigraph:
-    """Random vertex permutation, edge order and endpoint order."""
-    perm = list(range(g.vertex_count))
-    rng.shuffle(perm)
-    pairs = [(perm[e.u], perm[e.v]) for e in g.edges]
-    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
-    rng.shuffle(pairs)
-    return Multigraph.from_pairs(g.vertex_count, pairs)
-
-
 def test_visibility_matches_two_pass_oracle():
     rng = random.Random(3)
     for g in enumerate_connected_multigraphs(6):
-        for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
+        for h in (g, relabeled(g, rng), relabeled(g, rng)):
             cells = build_triangulation(h)
             coords, index, coeffs = two_pass_visibility(h, cells)
             anchor = build_anchor(h, cells)
@@ -291,13 +281,12 @@ def test_multitree_is_product_of_bundles():
 @pytest.mark.parametrize(
     "g",
     [single_edge(), loop_graph(1), loop_graph(2), path_graph(2), bundle(2), bundle(3),
-     triangle(), multicycle((2, 1, 1))],
+     triangle(), multicycle((2, 1, 1)), theta_graph(1, 2, 2)],
 )
 def test_methods_agree(g):
     h = hstar_blocks(g)
     assert hstar_visibility(g, build_triangulation(g)) == h
-    if dimension(g) <= 6:
-        assert hstar_ehrhart(g) == h
+    assert hstar_ehrhart(g) == h
 
 
 def test_visibility_rejects_disconnected():

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from cosmopoly.errors import BudgetExceeded, DisconnectedGraph
+from cosmopoly.errors import Budget, BudgetExceeded, DisconnectedGraph
+from cosmopoly.hstar import hstar_closed_multicycle, hstar_ehrhart
 from cosmopoly.multigraph import (
     bundle,
     connected_subgraphs,
@@ -19,10 +22,13 @@ from cosmopoly.polytope import (
     facet_inequalities,
     lattice_points,
 )
+from cosmopoly.sweep import enumerate_connected_multigraphs
 
 from oracles import (
+    box_count_points,
     interior_count_by_reciprocity,
     matrix_rank,
+    relabeled,
     series_count,
     small_multigraphs,
 )
@@ -162,6 +168,36 @@ def test_codegree_is_vertex_count(g):
 def test_dilate_budget():
     with pytest.raises(BudgetExceeded):
         count_dilate_points(triangle(), 3, budget=10)
+
+
+def test_sumset_counts_match_box_oracle():
+    # the box search assumes nothing about IDP; one past the dilates that
+    # hstar_ehrhart reads, and one past the codegree
+    rng = random.Random(5)
+    for g in enumerate_connected_multigraphs(6):
+        for h in (g, relabeled(g, rng)):
+            for t in range(len(h.edges) + 2):
+                assert count_dilate_points(h, t) == box_count_points(h, t, False, None)
+            for t in range(1, h.vertex_count + 2):
+                assert count_interior_points(h, t) == box_count_points(h, t, True, None)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [(triangle(), H_TRIANGLE), (multicycle((2, 1, 1)), hstar_closed_multicycle((2, 1, 1)).coeffs)],
+)
+def test_ehrhart_budget_is_sumset_steps(g, h):
+    # dilate t builds t sumsets; step k pays |S_(k-1)| = N(k-1) times the
+    # number of lattice points
+    d = dimension(g)
+    expected = sum(
+        series_count(h, d, k) * len(lattice_points(g))
+        for t in range(len(g.edges) + 1)
+        for k in range(t)
+    )
+    bud = Budget(None)
+    hstar_ehrhart(g, bud)
+    assert bud.used == expected
 
 
 @given(small_multigraphs(max_vertices=3, max_edges=3))
