@@ -14,7 +14,6 @@ from .errors import (
     GraphError,
     GraphFileError,
     NoMethodAvailable,
-    ObstructionViolation,
     StructureViolation,
     TheoremViolation,
     WrongCardinality,
@@ -66,7 +65,6 @@ from .triangulation import (
     DecoratedGraph,
     build_triangulation,
     decorated_view,
-    enumerate_triangulation,
     normalized_volume,
     sq_db_counts,
     validate_multicycle_structure,

@@ -12,6 +12,7 @@ exceeded, 4 check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -44,7 +45,7 @@ from .sweep import (
     sweep_upper_bound,
     verify_graph,
 )
-from .triangulation import decorated_view, enumerate_triangulation
+from .triangulation import build_triangulation, decorated_view
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -291,15 +292,14 @@ def _decorated_dump(g: Multigraph, simplex, idx: int) -> str:
 
 
 def cmd_triangulate(g: Multigraph, args) -> dict:
-    # default_good_order is good on every graph, so no goodness check is needed
     bud = as_budget(args.budget_nodes)
-    obs = obstruction_set(g, default_good_order(g, seed=args.order_seed), bud)
-    simplices = enumerate_triangulation(g, obs, bud)
+    order = default_good_order(g, seed=args.order_seed)
+    simplices = build_triangulation(g, order, bud)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "simplex_count": len(simplices),
         "simplices": [[p.name for p in s] for s in simplices],
-        "obstructions": [sorted(p.name for p in o) for o in obs],
+        "obstructions": [sorted(p.name for p in o) for o in obstruction_set(g, order, bud)],
     }
     if args.generators:
         payload["reduced_generators"] = [
@@ -435,6 +435,7 @@ _GRAPH_COMMANDS = {
 }
 
 
+@functools.cache  # once per process: a parser is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosmopoly",

@@ -31,10 +31,6 @@ class WrongCardinality(CosmopolyError):
     """Point set has the wrong number of points for the requested computation."""
 
 
-class ObstructionViolation(CosmopolyError):
-    """A maximal obstruction-free set has unexpected cardinality."""
-
-
 class StructureViolation(CosmopolyError):
     """A cell violates the structural description of multicycle triangulations."""
 

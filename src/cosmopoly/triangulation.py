@@ -1,7 +1,17 @@
-"""Obstruction-free enumeration of the unimodular triangulation, with the
+"""The unimodular triangulation, placed point by point, with the
 decorated-subgraph view of its cells.
 
-A maximal cell is a set of |V| + |E| lattice points containing no obstruction.
+Under a good term order the initial complex of the toric ideal is the
+placing triangulation of the lattice points in the reverse of the order's
+ranking (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 8).  The
+first |V| + |E| linearly independent points form the first cell; placing
+the points skipped there later changes nothing, as each is a cone apex.
+Each later point p is coned over every boundary facet (C, q), which omits
+the point of cell C in slot q, with (C^-1 p)_q < 0: p lies beyond it.  The
+new cell C - q + p gets its integer inverse from one rank-one pivot by
+(C^-1 p)_q, which is +-1 as every cell is unimodular.  A new facet no point
+still to come lies beyond is on the boundary of the polytope; it is dropped.
+
 Cells are rendered back onto the graph: a vertex is white when its z-point is
 present; an edge shows as plain (z), squiggly (t), or directed (y) strokes,
 with at most two strokes per edge.
@@ -11,18 +21,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     Budget,
     BadTermOrder,
     DisconnectedGraph,
-    ObstructionViolation,
     StructureViolation,
+    TheoremViolation,
     WrongCardinality,
     as_budget,
 )
-from .grobner import Obstruction, TermOrder, default_good_order, is_good_order, obstruction_set
+from .grobner import TermOrder, default_good_order, is_good_order
 from .intlinalg import bareiss_determinant
 from .multigraph import Multigraph, is_connected, multicycle_layout
 from .polytope import (
@@ -46,107 +56,105 @@ _ROLE_OF_KIND = {ZEDGE: PLAIN, TPOINT: SQUIGGLY, YFORWARD: FORWARD, YBACKWARD: B
 _VALID_DOUBLES = (frozenset({PLAIN, FORWARD}), frozenset({PLAIN, BACKWARD}))
 
 
-def enumerate_triangulation(
-    g: Multigraph,
-    obstructions: Iterable[Obstruction],
-    budget: Budget | int | None = None,
-) -> list[Simplex]:
-    """All obstruction-free point sets of size |V| + |E|, i.e. the maximal
-    cells of the triangulation induced by the given obstruction set.
-
-    Backtracks over the canonically ordered lattice points with bitmask
-    subset tests.  Each cell is certified maximal where the search completes
-    it: no later point can be added obstruction-free.  That suffices, since
-    any larger obstruction-free set contains a cell found by the search
-    followed by a later point.  A violation raises ObstructionViolation: the
-    obstruction set does not define a pure complex of the expected dimension.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraph("triangulation enumeration requires a connected graph")
-    bud = as_budget(budget)
-    points = lattice_points(g)
-    n = len(points)
-    target = g.vertex_count + len(g.edges)
-    index = {p: i for i, p in enumerate(points)}
-    # group each obstruction under its highest point: it can only complete
-    # when that point is added, points being taken in ascending index order
-    by_max: list[list[int]] = [[] for _ in range(n)]
-    for obs in obstructions:
-        mask = 0
-        for p in obs:
-            mask |= 1 << index[p]
-        top = mask.bit_length() - 1
-        by_max[top].append(mask & ~(1 << top))
-
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(pos: int, mask: int) -> None:
-        bud.spend()
-        have = len(chosen)
-        if have == target:
-            for i in range(pos, n):
-                for rest in by_max[i]:
-                    if rest & ~mask == 0:
-                        break
-                else:
-                    raise ObstructionViolation(
-                        f"cell {[points[j].name for j in chosen]} extends by {points[i].name}; "
-                        "maximal obstruction-free sets exceed |V|+|E| points"
-                    )
-            found.append(tuple(chosen))
-            return
-        for i in range(pos, n):
-            if have + (n - i) < target:
-                break
-            for rest in by_max[i]:
-                if rest & ~mask == 0:
-                    break
-            else:
-                chosen.append(i)
-                rec(i + 1, mask | (1 << i))
-                chosen.pop()
-
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # rec holds itself through its closure; free the search state now
-    return [tuple(points[i] for i in combo) for combo in found]
-
-
 def build_triangulation(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
 ) -> list[Simplex]:
-    """Verified pipeline: good order, obstruction set, cell enumeration."""
+    """The placing triangulation of a good term order (the default order when
+    ``order`` is None), its cells sorted by canonical point indices.  One
+    budget node is charged per boundary facet scanned, per cell made and per
+    point still to come tested against a new facet."""
+    if not is_connected(g):
+        raise DisconnectedGraph("triangulation enumeration requires a connected graph")
     bud = as_budget(budget)
     if order is None:
         order = default_good_order(g)
     if not is_good_order(order, g, bud):
         raise BadTermOrder("term order fails the goodness check on this graph")
-    return enumerate_triangulation(g, obstruction_set(g, order, bud), bud)
+    points = lattice_points(g)
+    # a point's nonzero coordinates (k, c_k), at most three, padded with (0, 0)
+    sparse = [sum(([kc for kc in enumerate(p.coords) if kc[1]] + [(0, 0)] * 2)[:3], ())
+              for p in points]
+    placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
+    # placed in full first, so that the placing state is freed before the sort
+    masks = list(_place(sparse, placing, g.vertex_count + len(g.edges), bud))
+    cells = sorted(tuple(i for i in range(len(points)) if c >> i & 1) for c in masks)
+    return [tuple(points[i] for i in c) for c in cells]
 
 
-def _sum_basis_coordinates(diff: Sequence[int]) -> list[int]:
-    """Coordinates of a sum-zero integer vector in the basis e_k - e_(k+1)
-    are its prefix sums."""
-    out = []
-    acc = 0
-    for x in diff[:-1]:
-        acc += x
-        out.append(acc)
-    return out
+def _place(sparse: list[tuple[int, ...]], placing: list[int], m: int, bud: Budget) -> Iterator[int]:
+    """Yield the cells as they are made, as bit masks of point indices.
+
+    The first cell is found by integer (Bareiss) pivots of the points into
+    unit-vector slots, which keep ``inverse`` at ``det`` times the inverse of
+    the current basis; a point with no nonzero slot left is dependent."""
+    inverse = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    det, first, rest = 1, [-1] * m, []
+    for i in placing:
+        y = [_dot(row, sparse[i]) for row in inverse]
+        q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
+        if q is None:
+            rest.append(i)
+            continue
+        first[q], lead = i, inverse[q]
+        inverse = [tuple([(y[q] * a - y[x] * b) // det for a, b in zip(row, lead)])
+                   for x, row in enumerate(inverse)]
+        inverse[q], det = lead, y[q]
+    if det not in (1, -1):
+        raise TheoremViolation(f"the first cell has determinant {det}, not +-1")
+    boundary: list[tuple] = []  # facets (cell, inverse, q): they omit cell[q], whose row is q
+    # new cells, with the slot of the point just placed
+    made = [(tuple(first), tuple(tuple(det * a for a in row) for row in inverse), -1)]
+    for step in range(len(rest) + 1):
+        fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
+        for cell, inv, q in made:
+            mask = sum(1 << i for i in cell)
+            yield mask
+            for x in range(m):
+                if x != q and fresh.pop(mask ^ (1 << cell[x]), None) is None:
+                    fresh[mask ^ (1 << cell[x])] = (cell, inv, x)
+        future = rest[step:]
+        for cell, inv, x in fresh.values():
+            beyond = next((n for n, j in enumerate(future, 1) if _dot(inv[x], sparse[j]) < 0), 0)
+            bud.spend(beyond or len(future))
+            if beyond:
+                boundary.append((cell, inv, x))
+        if not future:
+            break
+        p, sp = future[0], sparse[future[0]]
+        bud.spend(len(boundary))
+        seen = [_dot(inv[q], sp) < 0 for _, inv, q in boundary]
+        visible = [f for f, s in zip(boundary, seen) if s]
+        boundary = [f for f, s in zip(boundary, seen) if not s]
+        bud.spend(len(visible))
+        made = [(cell[:q] + (p,) + cell[q + 1 :], _pivot(inv, [_dot(r, sp) for r in inv], q), q)
+                for cell, inv, q in visible]
+
+
+def _dot(row: Sequence[int], s: tuple[int, ...]) -> int:
+    return row[s[0]] * s[1] + row[s[2]] * s[3] + row[s[4]] * s[5]
+
+
+def _pivot(inverse: tuple, y: list[int], q: int) -> tuple:
+    """Inverse of a unimodular cell once slot q holds p, where inverse . p = y."""
+    if y[q] not in (1, -1):
+        raise TheoremViolation(f"placing pivot {y[q]}: the new cell is not unimodular")
+    lead = inverse[q] if y[q] == 1 else tuple(-a for a in inverse[q])
+    return tuple(
+        lead if x == q else row if not yx else tuple([a - yx * b for a, b in zip(row, lead)])
+        for x, (row, yx) in enumerate(zip(inverse, y))
+    )
 
 
 def normalized_volume(points: Iterable[LatticePoint]) -> int:
     """Normalized volume of the simplex spanned by dim + 1 lattice points.
 
-    The points must lie on the coordinate-sum-1 hyperplane; the difference
-    vectors are expressed in a basis of the sum-zero sublattice and the
-    absolute determinant is returned.  0 means affinely dependent.
+    The points must lie on the coordinate-sum-1 hyperplane, a lattice
+    hyperplane at lattice distance 1 from the origin, so the volume is the
+    absolute determinant of their coordinates.  0 means affinely dependent.
     """
-    pts = sorted(points, key=lambda p: p.sort_key())
+    pts = list(points)
     if not pts:
         raise WrongCardinality("empty point set")
     m = len(pts[0].coords)
@@ -155,11 +163,7 @@ def normalized_volume(points: Iterable[LatticePoint]) -> int:
     for p in pts:
         if sum(p.coords) != 1:
             raise WrongCardinality(f"{p.name} is off the coordinate-sum-1 hyperplane")
-    base = pts[0].coords
-    rows = [
-        _sum_basis_coordinates([a - b for a, b in zip(p.coords, base)]) for p in pts[1:]
-    ]
-    return abs(bareiss_determinant(rows))
+    return abs(bareiss_determinant([p.coords for p in pts]))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: subset scans, permutation scans and
 rational Gaussian elimination, sharing no code with the library paths they
-certify.  The rational solve, the two-pass visibility count and the box
-counter of dilate points are the routes the integer kernel, the fused
-visibility pass and the IDP sumset replaced; the visibility oracle takes
-only the anchor perturbation schedule from the library, and the box counter
-only the lattice points and facets.
+certify.  The rational solve, the two-pass visibility count, the box
+counter of dilate points and the obstruction-avoiding cell search are the
+routes the integer kernel, the fused visibility pass, the IDP sumset and
+the placing triangulation replaced; the visibility oracle takes only the
+anchor perturbation schedule from the library, the box counter only the
+lattice points and facets, and the cell search only the lattice points and
+an obstruction set.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
+from typing import Iterable
 
 from hypothesis import strategies as st
 
-from cosmopoly.errors import Budget, as_budget
+from cosmopoly.errors import Budget, CosmopolyError, DisconnectedGraph, as_budget
+from cosmopoly.grobner import Obstruction
 from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, _perturbed_anchor
-from cosmopoly.multigraph import Multigraph
+from cosmopoly.multigraph import Multigraph, is_connected
 from cosmopoly.polytope import facet_inequalities, lattice_points
+from cosmopoly.triangulation import Simplex
 
 
 def brute_cycle_edge_sets(g: Multigraph) -> set[frozenset[int]]:
@@ -155,6 +160,78 @@ def brute_cells(g: Multigraph, obstructions) -> tuple[set[frozenset], bool]:
     cells = {frozenset(c) for c in combinations(points, target) if free(c)}
     larger = any(free(c) for c in combinations(points, target + 1))
     return cells, larger
+
+
+class ObstructionViolation(CosmopolyError):
+    """A maximal obstruction-free set has unexpected cardinality."""
+
+
+def enumerate_triangulation(
+    g: Multigraph,
+    obstructions: Iterable[Obstruction],
+    budget: Budget | int | None = None,
+) -> list[Simplex]:
+    """All obstruction-free point sets of size |V| + |E|, i.e. the maximal
+    cells of the triangulation induced by the given obstruction set.
+
+    Backtracks over the canonically ordered lattice points with bitmask
+    subset tests.  Each cell is certified maximal where the search completes
+    it: no later point can be added obstruction-free.  That suffices, since
+    any larger obstruction-free set contains a cell found by the search
+    followed by a later point.  A violation raises ObstructionViolation: the
+    obstruction set does not define a pure complex of the expected dimension.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraph("triangulation enumeration requires a connected graph")
+    bud = as_budget(budget)
+    points = lattice_points(g)
+    n = len(points)
+    target = g.vertex_count + len(g.edges)
+    index = {p: i for i, p in enumerate(points)}
+    # group each obstruction under its highest point: it can only complete
+    # when that point is added, points being taken in ascending index order
+    by_max: list[list[int]] = [[] for _ in range(n)]
+    for obs in obstructions:
+        mask = 0
+        for p in obs:
+            mask |= 1 << index[p]
+        top = mask.bit_length() - 1
+        by_max[top].append(mask & ~(1 << top))
+
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def rec(pos: int, mask: int) -> None:
+        bud.spend()
+        have = len(chosen)
+        if have == target:
+            for i in range(pos, n):
+                for rest in by_max[i]:
+                    if rest & ~mask == 0:
+                        break
+                else:
+                    raise ObstructionViolation(
+                        f"cell {[points[j].name for j in chosen]} extends by {points[i].name}; "
+                        "maximal obstruction-free sets exceed |V|+|E| points"
+                    )
+            found.append(tuple(chosen))
+            return
+        for i in range(pos, n):
+            if have + (n - i) < target:
+                break
+            for rest in by_max[i]:
+                if rest & ~mask == 0:
+                    break
+            else:
+                chosen.append(i)
+                rec(i + 1, mask | (1 << i))
+                chosen.pop()
+
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; free the search state now
+    return [tuple(points[i] for i in combo) for combo in found]
 
 
 def series_count(h_coeffs, d: int, t: int) -> int:

@@ -38,7 +38,7 @@ from cosmopoly.polytope import (
     facet_inequalities,
     lattice_points,
 )
-from cosmopoly.sweep import enumerate_connected_multigraphs
+from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
 from cosmopoly.triangulation import (
     build_triangulation,
     normalized_volume,
@@ -166,9 +166,13 @@ def test_criterion_8_structure_sweep():
         h = hstar_visibility(g, build_triangulation(g))
         check_structure_theorems(g, h)  # raises on degree/h1/bound/equality failure
         ok = ok and check_upper_bound_conjecture(g, h).status == "HOLDS"
+        verified = verify_graph(g)
+        ok = ok and verified.ok and not verified.skipped
+        ok = ok and {"blocks", "visibility", "ehrhart"} <= set(verified.methods)
         checked += 1
-    ok = ok and checked > 0
-    report(8, ok, f"structure theorems and upper bound over {checked} graphs with |V|+|E| <= 7", t0)
+    ok = ok and checked == 46
+    message = f"structure theorems, upper bound and three agreeing h* routes over {checked} graphs"
+    report(8, ok, message + " with |V|+|E| <= 7", t0)
 
 
 def test_criterion_9_theta_consistency():

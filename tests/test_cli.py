@@ -15,8 +15,10 @@ from cosmopoly.cli import (
     run,
     write_graph_text,
 )
-from cosmopoly.errors import GraphFileError
+from cosmopoly.errors import Budget, GraphFileError
+from cosmopoly.grobner import default_good_order
 from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
+from cosmopoly.triangulation import build_triangulation
 
 
 def invoke(capsys, *argv):
@@ -236,15 +238,35 @@ def test_triangulate_builds_obstruction_set_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK and len(calls) == 1
 
 
-@pytest.mark.parametrize("g, spend", [(triangle(), 624), (theta_graph(1, 1, 2), 2519)])
+@pytest.mark.parametrize("g, spend", [(triangle(), 561), (theta_graph(1, 1, 2), 1728)])
 def test_triangulate_budget_at_one_build_spend(tmp_path, capsys, monkeypatch, g, spend):
-    # ``spend`` is what build_triangulation charges on g with the default order
+    # ``spend`` is what one build_triangulation and one obstruction set
+    # charge on g with the default order
+    bud = Budget(None)
+    order = default_good_order(g)
+    build_triangulation(g, order, bud)
+    grobner.obstruction_set(g, order, bud)
+    assert bud.used == spend
     monkeypatch.delenv("COSMOPOLY_CACHE", raising=False)
     path = graph_file(tmp_path, write_graph_text(g))
     code, _, _ = invoke(capsys, "triangulate", path, "--budget-nodes", str(spend))
     assert code == EXIT_OK
     code, out, err = invoke(capsys, "triangulate", path, "--budget-nodes", str(spend - 1))
     assert code == EXIT_BUDGET and out == "" and "budget" in err
+
+
+def test_visibility_and_verify_need_no_obstruction_set(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("obstruction_set called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cosmopoly" and hasattr(module, "obstruction_set"):
+            monkeypatch.setattr(module, "obstruction_set", refuse)
+    path = graph_file(tmp_path, "0 1\n1 2\n2 0\n0 1\n")
+    code, out, _ = invoke(capsys, "hstar", path, "--method", "visibility")
+    assert code == EXIT_OK and out.startswith("h* = ")
+    code, out, _ = invoke(capsys, "verify", path)
+    assert code == EXIT_OK and out.endswith("verify: ok\n")
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):

@@ -1,15 +1,17 @@
-"""Searches free their state when they return.
+"""Searches free their state when they return, and a CLI call builds no
+new argument parser.
 
 A recursive closure that refers to itself through its own cell forms a
 reference cycle, which keeps the whole search state alive until the next
-full collection; in a long run that shows as resident memory that climbs
-with every call.
+full collection, and so does an argparse parser; in a long run that shows
+as resident memory that climbs with every call.
 """
 
 import gc
 
 import pytest
 
+from cosmopoly.cli import run
 from cosmopoly.hstar import hstar_ehrhart
 from cosmopoly.multigraph import cycle_graph, simple_cycles, simple_paths, theta_graph, triangle
 from cosmopoly.polytope import count_dilate_points
@@ -17,6 +19,7 @@ from cosmopoly.sweep import verify_graph
 from cosmopoly.triangulation import build_triangulation
 
 CALLS = {
+    "cli.run": lambda: run(["conjecture", "theta", "--max-size", "3"]),
     "build_triangulation": lambda: build_triangulation(theta_graph(1, 1, 2)),
     "count_dilate_points": lambda: count_dilate_points(cycle_graph(3), 3),
     "hstar_ehrhart": lambda: hstar_ehrhart(triangle()),

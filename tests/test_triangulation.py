@@ -1,16 +1,18 @@
+import random
 import warnings
 
 import pytest
 from hypothesis import given, settings
 
 from cosmopoly.errors import (
+    BadTermOrder,
     BudgetExceeded,
     DisconnectedGraph,
-    ObstructionViolation,
     StructureViolation,
+    TheoremViolation,
     WrongCardinality,
 )
-from cosmopoly.grobner import default_good_order, obstruction_set
+from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
 from cosmopoly.multigraph import (
     bundle,
     disjoint_union,
@@ -21,18 +23,32 @@ from cosmopoly.multigraph import (
     single_edge,
     triangle,
 )
-from cosmopoly.polytope import lattice_points, point_by_name
+from cosmopoly.polytope import (
+    TPOINT,
+    YBACKWARD,
+    YFORWARD,
+    ZEDGE,
+    ZVERTEX,
+    lattice_points,
+    point_by_name,
+)
 from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import (
+    _pivot,
     build_triangulation,
     decorated_view,
-    enumerate_triangulation,
     normalized_volume,
     sq_db_counts,
     validate_multicycle_structure,
 )
 
-from oracles import brute_cells, small_multigraphs
+from oracles import (
+    ObstructionViolation,
+    brute_cells,
+    enumerate_triangulation,
+    matrix_rank,
+    small_multigraphs,
+)
 
 
 def name_sets(simplices):
@@ -123,6 +139,70 @@ def test_enumeration_matches_brute_cells():
                 assert len(found) == len(cells)
                 assert {frozenset(s) for s in found} == cells
     assert cases == 127 and 0 < raised < cases
+
+
+def oracle_cells(g, order):
+    return enumerate_triangulation(g, obstruction_set(g, order))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_placing_matches_oracle_on_sweep(seed):
+    # the same cells in the same order as the obstruction-avoiding search
+    graphs = list(enumerate_connected_multigraphs(7))
+    for g in graphs:
+        order = default_good_order(g, seed=seed)
+        assert build_triangulation(g, order) == oracle_cells(g, order)
+    assert len(graphs) == 46
+
+
+# Random keys per class, sorted ascending: every y ranks above every z and
+# every t above every vertex z, the class ranking under which an order is
+# good.  The overlapping spans mix the other classes, so that the first
+# points placed can be dependent.
+KEY_SPANS = {YFORWARD: (0, 1), YBACKWARD: (0, 1), TPOINT: (0, 2), ZEDGE: (1, 3), ZVERTEX: (2, 3)}
+
+
+def class_ranked_order(g, rng):
+    key = {}
+    for p in lattice_points(g):
+        lo, hi = KEY_SPANS[p.kind]
+        key[p] = lo + (hi - lo) * rng.random()
+    return TermOrder(sorted(key, key=key.get))
+
+
+def dependent_start(g, order):
+    m = g.vertex_count + len(g.edges)
+    return matrix_rank([p.coords for p in reversed(order.ranked[-m:])]) < m
+
+
+def test_placing_matches_oracle_on_random_good_orders():
+    g = path_graph(2)
+    order = TermOrder(
+        [point_by_name(g, n) for n in "yf0 yf1 yb1 yb0 ze1 t1 t0 ze0 zv2 zv1 zv0".split()]
+    )
+    assert dependent_start(g, order)
+    assert build_triangulation(g, order) == oracle_cells(g, order)
+    assert len(build_triangulation(g, order)) == 16
+    rng = random.Random(5)
+    cases = dependent = 0
+    for g in enumerate_connected_multigraphs(6):
+        for _ in range(4):
+            order = class_ranked_order(g, rng)
+            assert is_good_order(order, g)
+            assert build_triangulation(g, order) == oracle_cells(g, order)
+            cases += 1
+            dependent += dependent_start(g, order)
+    assert cases == 92 and 0 < dependent < cases
+
+
+def test_placing_rejects_bad_order_and_non_unimodular_pivot():
+    g = single_edge()
+    with pytest.raises(BadTermOrder):
+        build_triangulation(g, TermOrder(list(reversed(default_good_order(g).ranked))))
+    identity = ((1, 0), (0, 1))
+    assert _pivot(identity, [-1, 1], 0) == ((-1, 0), (1, 1))
+    with pytest.raises(TheoremViolation):
+        _pivot(identity, [2, 1], 0)
 
 
 def test_decorated_views_single_edge():
