@@ -12,6 +12,7 @@ exceeded, 4 check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -137,10 +138,17 @@ def write_graph_text(g: Multigraph) -> str:
 
 
 def load_graph(path: str) -> Multigraph:
-    if path == "-":
-        return parse_graph_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    """Parse the graph file at ``path``, or stdin for ``-``."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise GraphError(f"cannot read graph file {path}: {reason}") from exc
+    return parse_graph_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +181,21 @@ def _cache_key(g: Multigraph, command: str, params: dict) -> str:
 
 
 def cache_lookup(cache_dir: str, key: str) -> dict | None:
+    """The cached payload, or None on a miss: a record that cannot be read or
+    parsed, or is not a JSON object with an object payload, is a miss."""
     path = os.path.join(cache_dir, key + ".json")
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    return record.get("payload")
+    payload = record.get("payload") if isinstance(record, dict) else None
+    return payload if isinstance(payload, dict) else None
 
 
 def cache_store(cache_dir: str, key: str, g: Multigraph, command: str, params: dict,
                 payload: dict, wall_time: float) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write the record atomically; a store that fails only warns on stderr."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -196,15 +205,18 @@ def cache_store(cache_dir: str, key: str, g: Multigraph, command: str, params: d
         "wall_time_s": wall_time,
         "payload": payload,
     }
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(record, fh, sort_keys=True)
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        print(f"warning: result not cached: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ class CosmopolyError(Exception):
 
 
 class GraphError(CosmopolyError):
-    """Invalid multigraph construction (bad endpoint, isolated vertex)."""
+    """Invalid multigraph input (bad endpoint, isolated vertex, unreadable file)."""
 
 
 class GraphFileError(CosmopolyError):

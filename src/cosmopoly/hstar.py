@@ -2,8 +2,9 @@
 conjecture checkers built on them.
 
 Routes:
-  * visibility - half-open decomposition of the unimodular triangulation
-    against an exact general-position anchor point;
+  * visibility - half-open decomposition of the placing triangulation
+    against an exact general-position anchor point, with visible facets
+    read off the integer cell inverses;
   * ehrhart    - inversion of the dilate-counting oracle;
   * blocks     - product of closed forms over the block decomposition
     (loops, bridges, bundles, multicycles), falling back to visibility on
@@ -16,7 +17,8 @@ exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,8 +30,7 @@ from .errors import (
     TheoremViolation,
     as_budget,
 )
-from .grobner import default_good_order
-from .intlinalg import solve_exact
+from .grobner import TermOrder, default_good_order
 from .multigraph import (
     BUNDLE,
     LOOP,
@@ -44,7 +45,7 @@ from .multigraph import (
     is_connected,
 )
 from .polytope import count_dilate_points, count_interior_points, dimension, lattice_points
-from .triangulation import Simplex, build_triangulation, decorated_view, sq_db_counts
+from .triangulation import Simplex, cells_from_masks, decorated_view, placing_pass, sq_db_counts
 
 
 class IntPolynomial:
@@ -191,13 +192,14 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 @dataclass(frozen=True)
 class AnchorPoint:
     """Strictly positive rational point of coordinate sum 1, certified to miss
-    every cell-facet hyperplane exactly, together with the visibility
-    histogram of the cells it was certified against: ``visible_counts[i]``
-    cells have exactly i facets visible from the anchor."""
+    every cell-facet hyperplane exactly, with the cells it was certified
+    against, sorted as by ``build_triangulation``, and their visibility
+    histogram: ``visible_counts[i]`` cells have exactly i visible facets."""
 
     coords: tuple[Fraction, ...]
     perturbation_index: int
     visible_counts: tuple[int, ...]
+    cells: tuple[Simplex, ...] = field(repr=False)
 
 
 def _base_anchor(g: Multigraph) -> list[Fraction]:
@@ -222,47 +224,55 @@ def _perturbed_anchor(g: Multigraph, index: int) -> list[Fraction]:
 _MAX_ANCHOR_RETRIES = 32
 
 
-def build_anchor(g: Multigraph, simplices: Sequence[Simplex]) -> AnchorPoint:
-    """General-position anchor for half-open decomposition, with the count
-    of cells per number of visible facets.
+def build_anchor(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+) -> AnchorPoint:
+    """General-position anchor for half-open decomposition of the placing
+    triangulation of ``order``, with its cells and the count of cells per
+    number of visible facets.
 
     The base point weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
     1/(2|E|(|V|+1)); if it hits a facet hyperplane of some cell, a
     deterministic schedule of shrinking alternating perturbations is tried.
-    One exact integer solve per cell both certifies the candidate and counts
-    the cell's visible facets.
+    Each candidate gets one placing pass, charged to ``budget``, which reads
+    every cell's facet values at the candidate off the cell's integer
+    inverse; a candidate on a facet hyperplane drops its pass.
     """
+    bud = as_budget(budget)
     for index in range(_MAX_ANCHOR_RETRIES + 1):
         q = _perturbed_anchor(g, index)
         if any(c <= 0 for c in q):
             continue
         scale = math.lcm(*(c.denominator for c in q))
         ints = [int(c * scale) for c in q]
-        # Per cell, y with sum_j y_j p_j = Q over its points p_j: y_j is, up to
-        # a positive factor, the value at Q of the facet functional opposite
-        # p_j, normalized positive on p_j, so facet j is visible iff y_j < 0.
-        # The p_j have coordinate sum 1, so the y_j sum to scale > 0 and at
-        # most len(ints) - 1 facets of a cell are visible.
+        # Row j of a cell's inverse is the facet functional opposite its point
+        # p_j, 1 on p_j, so y_j < 0 iff facet j is visible from Q.  The p_j
+        # have coordinate sum 1, so the y_j sum to scale > 0 and at most
+        # len(ints) - 1 facets of a cell are visible.
         counts = [0] * len(ints)
-        for s in simplices:
-            y_scaled, det = solve_exact(list(zip(*(p.coords for p in s))), ints)
-            if 0 in y_scaled:
+        masks = []
+        for cell, inverse in placing_pass(g, order, bud):
+            y = [sum(map(operator.mul, row, ints)) for row in inverse]
+            if 0 in y:
                 break
-            counts[sum(1 for v in y_scaled if (v < 0) != (det < 0))] += 1
+            counts[sum(1 for v in y if v < 0)] += 1
+            masks.append(sum(1 << i for i in cell))
         else:
-            return AnchorPoint(tuple(q), index, tuple(counts))
+            return AnchorPoint(tuple(q), index, tuple(counts), tuple(cells_from_masks(g, masks)))
     raise AnchorFailure("no general-position anchor within the retry schedule")
 
 
-def hstar_visibility(g: Multigraph, simplices: Sequence[Simplex]) -> IntPolynomial:
-    """h* from the cells of a unimodular triangulation of the connected graph
-    ``g`` (see :func:`cosmopoly.triangulation.build_triangulation`), by
-    counting, per cell, how many of its facets are visible from the anchor:
-    h*_i is the number of cells with exactly i visible facets.  Exact integer
-    arithmetic throughout, one solve per cell."""
-    if not is_connected(g):
-        raise DisconnectedGraph("visibility route requires a connected graph")
-    return IntPolynomial(build_anchor(g, simplices).visible_counts)
+def hstar_visibility(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+) -> IntPolynomial:
+    """h* of the connected graph ``g`` from the placing triangulation of
+    ``order`` (the default order when None): h*_i is the number of cells with
+    exactly i facets visible from the anchor of :func:`build_anchor`."""
+    return IntPolynomial(build_anchor(g, order, budget).visible_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,7 @@ def _hstar_block(g: Multigraph, block: BlockClass, budget: Budget | int | None) 
     if block.tag == MULTICYCLE:
         return hstar_closed_multicycle(block.multiplicities)
     sub, _ = induced_by_edges(g, block.edge_ids)
-    return hstar_visibility(sub, build_triangulation(sub, budget=budget))
+    return hstar_visibility(sub, budget=budget)
 
 
 def hstar_blocks(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
@@ -390,9 +400,7 @@ def hstar(
     if route == "visibility":
         return per_component(
             g,
-            lambda sub: hstar_visibility(
-                sub, build_triangulation(sub, default_good_order(sub, seed=order_seed), bud)
-            ),
+            lambda sub: hstar_visibility(sub, default_good_order(sub, seed=order_seed), bud),
         )
     return per_component(g, lambda sub: hstar_ehrhart(sub, bud))
 

@@ -13,17 +13,16 @@ from .hstar import (
     CheckResult,
     ConjectureFinding,
     IntPolynomial,
+    build_anchor,
     check_statistic_conjecture,
     check_structure_theorems,
     check_upper_bound_conjecture,
     hstar,
     hstar_blocks,
-    hstar_visibility,
     theta_hstar,
 )
 from .multigraph import GraphError, Multigraph, is_connected, theta_graph
 from .polytope import dimension, lattice_points
-from .triangulation import build_triangulation
 
 _BRUTE_FORCE_VERTEX_CAP = 8
 
@@ -144,8 +143,9 @@ def verify_graph(
     if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
         try:
             if is_connected(g):
-                cells = build_triangulation(g, default_good_order(g, seed=order_seed), bud)
-                methods["visibility"] = hstar_visibility(g, cells)
+                anchor = build_anchor(g, default_good_order(g, seed=order_seed), bud)
+                cells = anchor.cells
+                methods["visibility"] = IntPolynomial(anchor.visible_counts)
             else:
                 methods["visibility"] = hstar(g, "visibility", bud, order_seed)
         except BudgetExceeded as exc:

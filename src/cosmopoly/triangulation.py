@@ -65,6 +65,30 @@ def build_triangulation(
     ``order`` is None), its cells sorted by canonical point indices.  One
     budget node is charged per boundary facet scanned, per cell made and per
     point still to come tested against a new facet."""
+    # placed in full first, so that the placing state is freed before the sort
+    masks = [sum(1 << i for i in cell) for cell, _ in placing_pass(g, order, budget)]
+    return cells_from_masks(g, masks)
+
+
+def cells_from_masks(g: Multigraph, masks: Iterable[int]) -> list[Simplex]:
+    """Cells given as bit masks of point indices, sorted by those indices."""
+    points = lattice_points(g)
+    cells = sorted(tuple(i for i in range(len(points)) if c >> i & 1) for c in masks)
+    return [tuple(points[i] for i in c) for c in cells]
+
+
+def placing_pass(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Yield the cells of :func:`build_triangulation` as they are made, as
+    (cell, inverse): the point indices by slot, and the integer inverse,
+    whose row q is the facet functional opposite slot q, 1 on its point.
+
+    The first cell is found by integer (Bareiss) pivots of the points into
+    unit-vector slots, which keep ``inverse`` at ``det`` times the inverse of
+    the current basis; a point with no nonzero slot left is dependent."""
     if not is_connected(g):
         raise DisconnectedGraph("triangulation enumeration requires a connected graph")
     bud = as_budget(budget)
@@ -77,18 +101,7 @@ def build_triangulation(
     sparse = [sum(([kc for kc in enumerate(p.coords) if kc[1]] + [(0, 0)] * 2)[:3], ())
               for p in points]
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
-    # placed in full first, so that the placing state is freed before the sort
-    masks = list(_place(sparse, placing, g.vertex_count + len(g.edges), bud))
-    cells = sorted(tuple(i for i in range(len(points)) if c >> i & 1) for c in masks)
-    return [tuple(points[i] for i in c) for c in cells]
-
-
-def _place(sparse: list[tuple[int, ...]], placing: list[int], m: int, bud: Budget) -> Iterator[int]:
-    """Yield the cells as they are made, as bit masks of point indices.
-
-    The first cell is found by integer (Bareiss) pivots of the points into
-    unit-vector slots, which keep ``inverse`` at ``det`` times the inverse of
-    the current basis; a point with no nonzero slot left is dependent."""
+    m = g.vertex_count + len(g.edges)
     inverse = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     det, first, rest = 1, [-1] * m, []
     for i in placing:
@@ -109,8 +122,8 @@ def _place(sparse: list[tuple[int, ...]], placing: list[int], m: int, bud: Budge
     for step in range(len(rest) + 1):
         fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
         for cell, inv, q in made:
+            yield cell, inv
             mask = sum(1 << i for i in cell)
-            yield mask
             for x in range(m):
                 if x != q and fresh.pop(mask ^ (1 << cell[x]), None) is None:
                     fresh[mask ^ (1 << cell[x])] = (cell, inv, x)

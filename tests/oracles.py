@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: subset scans, permutation scans and
 rational Gaussian elimination, sharing no code with the library paths they
-certify.  The rational solve, the two-pass visibility count, the box
-counter of dilate points and the obstruction-avoiding cell search are the
-routes the integer kernel, the fused visibility pass, the IDP sumset and
-the placing triangulation replaced; the visibility oracle takes only the
-anchor perturbation schedule from the library, the box counter only the
-lattice points and facets, and the cell search only the lattice points and
-an obstruction set.
+certify.  The rational solve checks the integer determinant.  The two-pass
+visibility count, the box counter of dilate points and the
+obstruction-avoiding cell search are the routes that the visibility tally
+read off the placing inverses, the IDP sumset and the placing
+triangulation replaced.  The visibility oracle takes only the anchor
+perturbation schedule from the library, the box counter only the lattice
+points and facets, and the cell search only the lattice points and an
+obstruction set.
 """
 
 from __future__ import annotations
@@ -354,6 +355,28 @@ def barycentric(simplex, point) -> list[Fraction]:
     """The y with point = sum_j y_j p_j over the simplex's points p_j."""
     matrix = [[p.coords[k] for p in simplex] for k in range(len(point))]
     return solve_rational(matrix, point)[0]
+
+
+def point_on_a_cell_facet_hyperplane(cells, q):
+    """A strictly positive point of coordinate sum 1 on the hyperplane of
+    some cell facet, found on a segment from q towards a unit vector.
+
+    Barycentric coordinates are linear in the point, so one that changes
+    sign along the segment vanishes at a point of it, which is strictly
+    positive with coordinate sum 1 like both ends.
+    """
+    m = len(q)
+    for i in range(m):
+        r = [Fraction(9, 10) * (k == i) + Fraction(1, 10 * m) for k in range(m)]
+        scale = lcm(*(c.denominator for c in q + r))
+        for s in cells:
+            yq = barycentric(s, [int(c * scale) for c in q])
+            yr = barycentric(s, [int(c * scale) for c in r])
+            for a, b in zip(yq, yr):
+                if a * b < 0:
+                    lam = a / (a - b)
+                    return [(1 - lam) * x + lam * y for x, y in zip(q, r)]
+    raise AssertionError("no cell facet hyperplane crosses the segments")
 
 
 def box_count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | None) -> int:

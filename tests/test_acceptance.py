@@ -59,7 +59,7 @@ def test_criterion_1_single_edge():
     g = single_edge()
     expected = IntPolynomial([1, 3])
     ok = (
-        hstar_visibility(g, build_triangulation(g)) == expected
+        hstar_visibility(g) == expected
         and hstar_ehrhart(g) == expected
         and hstar_blocks(g) == expected
         and len(build_triangulation(g)) == 4
@@ -77,7 +77,7 @@ def test_criterion_2_trees():
             ok = (
                 ok
                 and hstar_blocks(g) == expected
-                and hstar_visibility(g, build_triangulation(g)) == expected
+                and hstar_visibility(g) == expected
             )
             if m == 2:
                 ok = ok and hstar_ehrhart(g) == expected
@@ -106,7 +106,7 @@ def test_criterion_4_bundles():
         ok = (
             ok
             and hstar_closed_bundle(m) == h
-            and hstar_visibility(g, build_triangulation(g)) == h
+            and hstar_visibility(g) == h
             and statistic_polynomial(g, build_triangulation(g)) == h
         )
     ok = ok and all(hstar_closed_bundle(m)(1) == 2**m * (1 + m) for m in (1, 2, 3))
@@ -120,7 +120,7 @@ def test_criterion_5_triangle():
     cells = build_triangulation(g)
     dilates = [count_dilate_points(g, t) for t in range(4)]
     ok = (
-        hstar_visibility(g, cells) == h
+        hstar_visibility(g) == h
         and hstar_ehrhart(g) == h
         and hstar_blocks(g) == h
         and len(cells) == 56
@@ -137,7 +137,7 @@ def test_criterion_6_multicycle_211():
     cells = build_triangulation(g)
     ok = (
         hstar_closed_multicycle((2, 1, 1)) == h
-        and hstar_visibility(g, cells) == h
+        and hstar_visibility(g) == h
         and h(1) == 160
         and len(cells) == 160
         and validate_multicycle_structure(g, cells).simplex_count == 160
@@ -151,7 +151,7 @@ def test_criterion_7_one_sum_and_union():
     t0 = time.perf_counter()
     target = hstar_closed_multicycle((1, 1, 1)) ** 2
     glued = one_sum(triangle(), triangle())
-    glued_h = hstar_visibility(glued, build_triangulation(glued))  # full run, no block shortcut
+    glued_h = hstar_visibility(glued)  # full run, no block shortcut
     union = disjoint_union(triangle(), triangle())
     union_h = hstar(triangle(), "visibility") * hstar(triangle(), "visibility")
     ok = glued_h == target and union_h == target and hstar_blocks(union) == target
@@ -163,7 +163,7 @@ def test_criterion_8_structure_sweep():
     checked = 0
     ok = True
     for g in enumerate_connected_multigraphs(7):
-        h = hstar_visibility(g, build_triangulation(g))
+        h = hstar_visibility(g)
         check_structure_theorems(g, h)  # raises on degree/h1/bound/equality failure
         ok = ok and check_upper_bound_conjecture(g, h).status == "HOLDS"
         verified = verify_graph(g)
@@ -187,7 +187,7 @@ def test_criterion_9_theta_consistency():
     cells = build_triangulation(k23)
     ok = ok and len(cells) == 3456
     ok = ok and check_statistic_conjecture(
-        k23, hstar_visibility(k23, cells), cells
+        k23, hstar_visibility(k23), cells
     ).status in ("HOLDS", "VIOLATED")  # reported either way, computed exactly
     report(9, ok, "theta identities; K_{2,3} triangulation has 3456 cells", t0)
 
@@ -208,7 +208,7 @@ def test_criterion_10_exactness_backstop():
     ok = True
     for g in corpus:
         cells = build_triangulation(g)
-        anchor = build_anchor(g, cells)  # raises unless certified exactly
+        anchor = build_anchor(g)  # raises unless certified exactly
         ok = ok and sum(anchor.coords) == 1 and all(c > 0 for c in anchor.coords)
         ok = ok and all(normalized_volume(s) == 1 for s in cells)
     report(10, ok, "anchors certified exactly; every cell has normalized volume 1", t0)

@@ -194,6 +194,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, content, reason",
+    [("absent.txt", None, "No such file or directory"),
+     ("", None, "Is a directory"),
+     ("g.txt", b"0 1\n\xff\n", "'utf-8' codec can't decode byte 0xff")],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_unreadable_graph_file_is_usage_error(tmp_path, capsys, name, content, reason):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = invoke(capsys, "hstar", str(path))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"error: cannot read graph file {path}: {reason}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "command, message",
     [("triangulate", "triangulation enumeration"), ("facets", "facet description")],
 )
@@ -315,6 +332,31 @@ def test_cache_keyed_on_labeled_graph(tmp_path, capsys, command):
         _, uncached, _ = invoke(capsys, command, path, "--json")
         _, cached, _ = invoke(capsys, command, path, "--json", "--cache-dir", cache)
         assert cached == uncached
+
+
+def test_cache_dir_that_is_a_file_only_warns(tmp_path, capsys):
+    path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
+    _, uncached, _ = invoke(capsys, "verify", path, "--json")
+    blocker = graph_file(tmp_path, "not a directory\n", name="cache")
+    code, out, err = invoke(capsys, "verify", path, "--json", "--cache-dir", blocker)
+    assert code == EXIT_OK and out == uncached
+    assert err.startswith("warning: result not cached: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    [b"[1, 2]", b'{"payload": [1, 2]}', b'{"payload": null}', b"3", b"\xff"],
+    ids=["list", "list-payload", "null-payload", "number", "not-utf8"],
+)
+def test_unusable_cache_record_is_a_miss(tmp_path, capsys, record):
+    path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
+    cache = tmp_path / "cache"
+    _, uncached, _ = invoke(capsys, "hstar", path, "--json", "--cache-dir", str(cache))
+    (stored,) = cache.glob("*.json")
+    stored.write_bytes(record)
+    code, out, err = invoke(capsys, "hstar", path, "--json", "--cache-dir", str(cache))
+    assert (code, out, err) == (EXIT_OK, uncached, "")
+    assert json.loads(stored.read_text())["payload"] == json.loads(uncached)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

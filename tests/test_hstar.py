@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import cosmopoly.hstar as hstar_module
 from cosmopoly.errors import (
+    Budget,
     DisconnectedGraph,
     NoMethodAvailable,
     TheoremViolation,
@@ -45,11 +46,17 @@ from cosmopoly.multigraph import (
     theta_graph,
     triangle,
 )
-from cosmopoly.polytope import count_dilate_points, dimension
+from cosmopoly.polytope import count_dilate_points, dimension, lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs
-from cosmopoly.triangulation import build_triangulation
+from cosmopoly.triangulation import build_triangulation, placing_pass
 
-from oracles import barycentric, relabeled, small_multigraphs, two_pass_visibility
+from oracles import (
+    barycentric,
+    point_on_a_cell_facet_hyperplane,
+    relabeled,
+    small_multigraphs,
+    two_pass_visibility,
+)
 
 
 def poly(*coeffs):
@@ -130,14 +137,14 @@ def test_multicycle_volume_formula():
 
 def test_anchor_single_edge_exact():
     g = single_edge()
-    anchor = build_anchor(g, build_triangulation(g))
+    anchor = build_anchor(g)
     assert anchor.coords == (Fraction(5, 12), Fraction(5, 12), Fraction(1, 6))
     assert anchor.perturbation_index == 0
 
 
 def test_anchor_multicycle_matches_published_weights():
     g = multicycle((2, 1, 1))
-    anchor = build_anchor(g, build_triangulation(g))
+    anchor = build_anchor(g)
     n = 3
     assert anchor.coords[0] == Fraction(1, n) * Fraction(2 * n + 1, 2 * (n + 1))
     assert anchor.coords[n] == Fraction(1, 4) * Fraction(1, 2 * (n + 1))
@@ -145,7 +152,7 @@ def test_anchor_multicycle_matches_published_weights():
 
 def test_anchor_interior_of_loop_segment():
     g = loop_graph(1)
-    anchor = build_anchor(g, build_triangulation(g))
+    anchor = build_anchor(g)
     assert anchor.coords == (Fraction(3, 4), Fraction(1, 4))
     assert sum(anchor.coords) == 1
 
@@ -168,63 +175,52 @@ def test_anchor_perturbation_schedule_keeps_invariants():
 def test_anchor_strictly_inside_every_facet(g):
     from cosmopoly.polytope import facet_inequalities
 
-    anchor = build_anchor(g, build_triangulation(g))
+    anchor = build_anchor(g)
     for f in facet_inequalities(g):
         assert sum(c * q for c, q in zip(f.normal, anchor.coords)) > 0
 
 
-def _point_on_a_cell_facet_hyperplane(cells, q):
-    """A strictly positive point of coordinate sum 1 on the hyperplane of
-    some cell facet, found on a segment from q towards a unit vector.
-
-    Barycentric coordinates are linear in the point, so one that changes
-    sign along the segment vanishes at a point of it, which is strictly
-    positive with coordinate sum 1 like both ends.
-    """
-    m = len(q)
-    for i in range(m):
-        r = [Fraction(9, 10) * (k == i) + Fraction(1, 10 * m) for k in range(m)]
-        scale = math.lcm(*(c.denominator for c in q + r))
-        for s in cells:
-            yq = barycentric(s, [int(c * scale) for c in q])
-            yr = barycentric(s, [int(c * scale) for c in r])
-            for a, b in zip(yq, yr):
-                if a * b < 0:
-                    lam = a / (a - b)
-                    return [(1 - lam) * x + lam * y for x, y in zip(q, r)]
-    raise AssertionError("no cell facet hyperplane crosses the segments")
+def _spend(call, *args) -> int:
+    bud = Budget(None)
+    call(*args, budget=bud)
+    return bud.used
 
 
 def test_anchor_retry_when_base_point_hits_a_facet_hyperplane(monkeypatch):
     g = triangle()
     cells = build_triangulation(g)
     schedule = hstar_module._perturbed_anchor
-    on_hyperplane = _point_on_a_cell_facet_hyperplane(cells, schedule(g, 0))
+    on_hyperplane = point_on_a_cell_facet_hyperplane(cells, schedule(g, 0))
     monkeypatch.setattr(
         hstar_module,
         "_perturbed_anchor",
         lambda g, index: on_hyperplane if index == 0 else schedule(g, index),
     )
-    anchor = build_anchor(g, cells)
+    bud = Budget(None)
+    anchor = build_anchor(g, budget=bud)
     assert anchor.perturbation_index == 1
     assert anchor.coords == tuple(schedule(g, 1))
-    assert hstar_visibility(g, cells) == hstar_closed_multicycle((1, 1, 1))
+    assert list(anchor.cells) == cells
+    assert hstar_visibility(g) == hstar_closed_multicycle((1, 1, 1))
+    # two placing passes: the first is dropped at the first cell whose facet
+    # hyperplane holds the candidate, the second runs in full
+    points = lattice_points(g)
+    scale = math.lcm(*(c.denominator for c in on_hyperplane))
+    ints = [int(c * scale) for c in on_hyperplane]
+    dropped = Budget(None)
+    for cell, _ in placing_pass(g, budget=dropped):
+        if 0 in barycentric([points[i] for i in cell], ints):
+            break
+    else:
+        raise AssertionError("the candidate misses every facet hyperplane")
+    full = _spend(build_triangulation, g)
+    assert 0 < dropped.used < full
+    assert bud.used == dropped.used + full
 
 
-def test_visibility_one_solve_per_cell(monkeypatch):
-    calls = []
-    solve = hstar_module.solve_exact
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(hstar_module, "solve_exact", counted)
-    g = multicycle((2, 1, 1))
-    cells = build_triangulation(g)
-    assert hstar_visibility(g, cells) == hstar_closed_multicycle((2, 1, 1))
-    assert len(cells) == 160
-    assert len(calls) == len(cells)
+def test_visibility_one_placing_pass():
+    for g in (theta_graph(1, 1, 2), multicycle((2, 1, 1))):
+        assert _spend(hstar_visibility, g) == _spend(build_triangulation, g) > 0
 
 
 def test_visibility_matches_two_pass_oracle():
@@ -233,9 +229,10 @@ def test_visibility_matches_two_pass_oracle():
         for h in (g, relabeled(g, rng), relabeled(g, rng)):
             cells = build_triangulation(h)
             coords, index, coeffs = two_pass_visibility(h, cells)
-            anchor = build_anchor(h, cells)
+            anchor = build_anchor(h)
             assert (anchor.coords, anchor.perturbation_index) == (coords, index)
-            assert hstar_visibility(h, cells).coeffs == tuple(coeffs)
+            assert list(anchor.cells) == cells
+            assert hstar_visibility(h).coeffs == tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +282,13 @@ def test_multitree_is_product_of_bundles():
 )
 def test_methods_agree(g):
     h = hstar_blocks(g)
-    assert hstar_visibility(g, build_triangulation(g)) == h
+    assert hstar_visibility(g) == h
     assert hstar_ehrhart(g) == h
 
 
 def test_visibility_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
-        hstar_visibility(
-            disjoint_union(single_edge(), single_edge()), build_triangulation(single_edge())
-        )
+        hstar_visibility(disjoint_union(single_edge(), single_edge()))
 
 
 def test_union_multiplicativity_without_block_shortcut():
@@ -306,14 +301,14 @@ def test_union_multiplicativity_without_block_shortcut():
 
 def test_one_sum_multiplicativity_full_run():
     glued = one_sum(single_edge(), loop_graph(1))
-    left = hstar_visibility(glued, build_triangulation(glued))
+    left = hstar_visibility(glued)
     assert left == hstar(single_edge(), "visibility") * hstar(loop_graph(1), "visibility")
 
 
 def test_volume_equals_cell_count():
     for g in [single_edge(), bundle(2), triangle(), multicycle((2, 1, 1))]:
         cells = build_triangulation(g)
-        assert hstar_visibility(g, cells)(1) == len(cells)
+        assert hstar_visibility(g)(1) == len(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +367,7 @@ def test_statistic_identity_on_multitrees_and_multicycles(g, closed):
 def test_statistic_conjecture_on_theta():
     g = theta_graph(1, 1, 2)
     cells = build_triangulation(g)
-    finding = check_statistic_conjecture(g, hstar_visibility(g, cells), cells)
+    finding = check_statistic_conjecture(g, hstar_visibility(g), cells)
     assert finding.status == "HOLDS"
 
 
@@ -452,7 +447,7 @@ def test_h1_formula():
 def test_methods_agree_property(g):
     if not is_connected(g):
         return
-    assert hstar_visibility(g, build_triangulation(g)) == hstar_blocks(g)
+    assert hstar_visibility(g) == hstar_blocks(g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 17])
@@ -461,4 +456,4 @@ def test_hstar_independent_of_order_seed(seed):
 
     for g in [bundle(2), triangle(), theta_graph(1, 1, 2)]:
         order = default_good_order(g, seed=seed)
-        assert hstar_visibility(g, build_triangulation(g, order)) == hstar(g, "visibility")
+        assert hstar_visibility(g, order) == hstar(g, "visibility")
