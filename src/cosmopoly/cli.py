@@ -167,44 +167,42 @@ def _graph_hash(g: Multigraph) -> str:
     return hashlib.sha256(write_graph_text(g).encode()).hexdigest()
 
 
-def _cache_key(g: Multigraph, command: str, params: dict) -> str:
-    blob = json.dumps(
-        {
-            "graph": _graph_hash(g),
-            "command": command,
-            "params": params,
-            "version": __version__,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _cache_header(g: Multigraph, command: str, params: dict) -> dict:
+    """The fields a record stores to say which request it answers."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "graph_hash": _graph_hash(g),
+        "command": command,
+        # as a JSON round trip gives it back, so that a lookup can compare
+        "params": json.loads(json.dumps(params)),
+    }
 
 
-def cache_lookup(cache_dir: str, key: str) -> dict | None:
+def _cache_key(header: dict) -> str:
+    return hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
+
+
+def cache_lookup(cache_dir: str, key: str, header: dict) -> dict | None:
     """The cached payload, or None on a miss: a record that cannot be read or
-    parsed, or is not a JSON object with an object payload, is a miss."""
+    parsed, is not a JSON object with an object payload, or whose header
+    fields differ from ``header``, the request's, is a miss."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    payload = record.get("payload") if isinstance(record, dict) else None
+    if not isinstance(record, dict) or any(record.get(k) != v for k, v in header.items()):
+        return None
+    payload = record.get("payload")
     return payload if isinstance(payload, dict) else None
 
 
-def cache_store(cache_dir: str, key: str, g: Multigraph, command: str, params: dict,
-                payload: dict, wall_time: float) -> None:
+def cache_store(cache_dir: str, key: str, header: dict, payload: dict,
+                wall_time: float) -> None:
     """Write the record atomically; a store that fails only warns on stderr."""
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "graph_hash": _graph_hash(g),
-        "command": command,
-        "params": params,
-        "wall_time_s": wall_time,
-        "payload": payload,
-    }
+    record = {**header, "wall_time_s": wall_time, "payload": payload}
     tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -506,14 +504,14 @@ def run(argv: Sequence[str] | None = None) -> int:
             params = _params_for_cache(args)
             payload = None
             if cache_dir:
-                key = _cache_key(g, args.command, params)
-                payload = cache_lookup(cache_dir, key)
+                header = _cache_header(g, args.command, params)
+                key = _cache_key(header)
+                payload = cache_lookup(cache_dir, key, header)
             if payload is None:
                 started = time.monotonic()
                 payload = handler(g, args)
                 if cache_dir:
-                    cache_store(cache_dir, key, g, args.command, params, payload,
-                                time.monotonic() - started)
+                    cache_store(cache_dir, key, header, payload, time.monotonic() - started)
             exit_code = EXIT_OK
             if args.command == "verify" and not payload["ok"]:
                 exit_code = EXIT_CHECK

@@ -5,7 +5,8 @@ Routes:
   * visibility - half-open decomposition of the placing triangulation
     against an exact general-position anchor point, with visible facets
     read off the integer cell inverses;
-  * ehrhart    - inversion of the dilate-counting oracle;
+  * ehrhart    - inversion of the low dilate counts, and by reciprocity of
+    the interior counts from the codegree up, read off one sumset run;
   * blocks     - product of closed forms over the block decomposition
     (loops, bridges, bundles, multicycles), falling back to visibility on
     blocks without a closed form.
@@ -44,7 +45,7 @@ from .multigraph import (
     induced_by_edges,
     is_connected,
 )
-from .polytope import count_dilate_points, count_interior_points, dimension, lattice_points
+from .polytope import _sumsets, dimension, lattice_points
 from .triangulation import Simplex, cells_from_masks, decorated_view, placing_pass, sq_db_counts
 
 
@@ -280,26 +281,48 @@ def hstar_visibility(
 
 
 def hstar_ehrhart(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
-    """h* by alternating-sum inversion of the dilate counts N(0..|E|).
+    """h* from the dilate counts N(0..a) and, by Ehrhart-Macdonald
+    reciprocity, the interior counts N°(1..|V|+b), read off one sumset run.
 
-    Only |E| + 1 dilates are needed because deg h* = |E|;
+    deg h* = |E| and the codegree is |V|, so with d = dim P,
+    a = min(|E|, ceil(d/2)) and b = |E| - 1 - a:
+
+      h*_k      = sum_j (-1)^j C(d+1, j) N(k-j)          for k = 0..a,
+      h*_(|E|-j) = sum_i (-1)^i C(d+1, i) N°(|V|+j-i)     for j = 0..b,
+
+    the second sum running over every computed N°(t), t >= 1, so it does not
+    assume the codegree.  Where the dilates reach far enough for both sums
+    to give a coefficient, the two must agree.
     :func:`ehrhart_count_from_hstar` predicts any further dilate from the
     result.
     """
     if not is_connected(g):
         raise DisconnectedGraph("ehrhart route requires a connected graph")
-    bud = as_budget(budget)
-    d = dimension(g)
+    nv = g.vertex_count
     ne = len(g.edges)
-    counts = [count_dilate_points(g, t, bud) for t in range(ne + 1)]
-    h = []
-    for k in range(ne + 1):
-        h.append(
-            sum(
-                (-1) ** j * math.comb(d + 1, j) * counts[k - j]
-                for j in range(k + 1)
+    d = dimension(g)
+    a = min(ne, (d + 1) // 2)
+    b = ne - 1 - a
+    top = max(a, nv + b)
+    counts, interior = zip(*_sumsets(g, top, budget, interior=b >= 0))
+    h = [
+        sum((-1) ** j * math.comb(d + 1, j) * counts[k - j] for j in range(k + 1))
+        for k in range(a + 1)
+    ]
+    if b >= 0:
+        h += [0] * (b + 1)
+        for j in range(top - nv + 1):
+            coefficient = sum(
+                (-1) ** i * math.comb(d + 1, i) * interior[nv + j - i]
+                for i in range(nv + j)
             )
-        )
+            if j <= b:
+                h[ne - j] = coefficient
+            elif coefficient != h[ne - j]:
+                raise TheoremViolation(
+                    f"h*_{ne - j} is {h[ne - j]} from dilates but {coefficient} "
+                    "from interior counts"
+                )
     if h[0] != 1 or any(x < 0 for x in h):
         raise TheoremViolation(f"inverted h* is not in normal form: {h}")
     return IntPolynomial(h)
@@ -493,11 +516,9 @@ def check_structure_theorems(
         )
     )
     if codegree_budget is not None and is_connected(g):
-        bud = as_budget(codegree_budget)
         nv = g.vertex_count
-        ok = count_interior_points(g, nv, bud) > 0 and all(
-            count_interior_points(g, t, bud) == 0 for t in range(1, nv)
-        )
+        _, interior = zip(*_sumsets(g, nv, codegree_budget, interior=True))
+        ok = interior[nv] > 0 and not any(interior[1:nv])
         results.append(CheckResult("codegree", ok, f"codegree equals |V| = {nv}"))
     failures = [r for r in results if not r.ok]
     if failures:

@@ -9,13 +9,17 @@ The polytope has a regular unimodular triangulation, so it is IDP: the
 lattice points of its t-th dilate are exactly the sums of t of its own
 lattice points.  Dilates are therefore counted as sumsets, never by a search
 over coordinates; ``tests/oracles.py`` keeps a facet-pruned box search that
-does not assume IDP as the reference.
+does not assume IDP as the reference.  One run builds S_1..S_T, each from
+the one before, and tells interior points by a zero-facet mask carried with
+every point, so no point is ever decoded back to coordinates.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import Budget, DisconnectedGraph, as_budget
 from .multigraph import Multigraph, connected_subgraphs, is_connected
@@ -157,49 +161,63 @@ def count_dilate_points(g: Multigraph, t: int, budget: Budget | int | None = Non
     the t-fold sumset of :func:`lattice_points`.  Building the k-th sumset
     from the (k-1)-th spends |S_(k-1)| * |lattice points| budget nodes.
     """
-    return _count_points(g, t, strict=False, budget=budget)
+    *_, (count, _) = _sumsets(g, t, budget, interior=False)
+    return count
 
 
 def count_interior_points(g: Multigraph, t: int, budget: Budget | int | None = None) -> int:
     """Lattice points in the relative interior of the t-th dilate: the points
-    of the t-fold sumset with c . x >= 1 for every facet normal c."""
-    return _count_points(g, t, strict=True, budget=budget)
+    of the t-fold sumset with c . x >= 1 for every facet normal c.  The facet
+    scan is charged on top of the sumset steps."""
+    *_, (_, interior) = _sumsets(g, t, budget, interior=True)
+    return interior
 
 
-def _count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | None) -> int:
-    if t < 0:
+def _sumsets(
+    g: Multigraph, top: int, budget: Budget | int | None, interior: bool
+) -> Iterator[tuple[int, int | None]]:
+    """Yield (N(t), N°(t)) for t = 0..top, building each sumset S_t once from
+    S_(t-1); N°(t) is None unless ``interior``.
+
+    Step t spends |S_(t-1)| * |lattice points| budget nodes, and ``interior``
+    adds the facet scan before the first step.
+    """
+    if top < 0:
         raise ValueError("dilation factor must be nonnegative")
     if not is_connected(g):
         raise DisconnectedGraph("dilate counting requires a connected graph")
     bud = as_budget(budget)
     pts = [p.coords for p in lattice_points(g)]
-    m = g.vertex_count + len(g.edges)
     # Every point of the t-fold sumset has coordinate sum t, so its last
     # coordinate follows from the others and stays out of the code.  A sum of
-    # t points has each other coordinate in [t * lo, t * hi], a range of
-    # `base` values, so the signed-digit code sum x_k base^k over k < m - 1
-    # is injective on the sumset, and the code of a sum is the sum of the
-    # codes.
+    # at most `top` points has each other coordinate in [top * lo, top * hi],
+    # a range of `base` values, so the signed-digit code sum x_k base^k over
+    # those coordinates is injective on every sumset up to S_top, and the
+    # code of a sum is the sum of the codes.
     lo = min(min(x[:-1]) for x in pts)
-    base = t * (max(max(x[:-1]) for x in pts) - lo) + 1
+    base = top * (max(max(x[:-1]) for x in pts) - lo) + 1
     codes = [sum(c * base**k for k, c in enumerate(x[:-1])) for x in pts]
-    sums = {0}
-    for _ in range(t):
-        bud.spend(len(sums) * len(codes))
-        sums = {s + c for s in sums for c in codes}
-    if not strict:
-        return len(sums)
+    if not interior:
+        sums = {0}
+        yield 1, None
+        for _ in range(top):
+            bud.spend(len(sums) * len(codes))
+            sums = {s + c for s in sums for c in codes}
+            yield len(sums), None
+        return
+    # A point's zero-facet mask has bit f set iff facet f is 0 there.  Facet
+    # values are >= 0 on P, so a sum is 0 on a facet iff every summand is:
+    # the mask of a sum is the AND of its summands' masks, and a point of a
+    # dilate is interior iff its mask is 0.
     normals = [f.normal for f in facet_inequalities(g, bud)]
-    # Subtracting t * lo from every digit makes each a plain base-`base` one.
-    shift = sum(t * lo * base**k for k in range(m - 1))
-    count = 0
-    for code in sums:
-        rest = code - shift
-        x = []
-        for _ in range(m - 1):
-            rest, digit = divmod(rest, base)
-            x.append(digit + t * lo)
-        x.append(t - sum(x))
-        if all(sum(c * v for c, v in zip(normal, x)) >= 1 for normal in normals):
-            count += 1
-    return count
+    masks = [
+        sum(1 << f for f, normal in enumerate(normals) if not sum(map(operator.mul, normal, x)))
+        for x in pts
+    ]
+    steps = list(zip(codes, masks))
+    sums = {0: (1 << len(normals)) - 1}
+    yield 1, 0
+    for _ in range(top):
+        bud.spend(len(sums) * len(steps))
+        sums = {s + c: m & n for s, m in sums.items() for c, n in steps}
+        yield len(sums), operator.countOf(sums.values(), 0)

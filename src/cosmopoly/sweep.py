@@ -119,7 +119,7 @@ class VerifyReport:
         raise RuntimeError("no method produced a result")
 
 
-VERIFY_EHRHART_DIM_CAP = 6
+VERIFY_EHRHART_DIM_CAP = 8
 
 
 def verify_graph(

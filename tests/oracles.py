@@ -3,13 +3,15 @@
 Everything here is deliberately naive: subset scans, permutation scans and
 rational Gaussian elimination, sharing no code with the library paths they
 certify.  The rational solve checks the integer determinant.  The two-pass
-visibility count, the box counter of dilate points and the
-obstruction-avoiding cell search are the routes that the visibility tally
-read off the placing inverses, the IDP sumset and the placing
-triangulation replaced.  The visibility oracle takes only the anchor
+visibility count, the box counter of dilate points, the
+obstruction-avoiding cell search and the inversion of all dilates are the
+routes that the visibility tally read off the placing inverses, the IDP
+sumset, the placing triangulation and the reciprocity halves of the
+Ehrhart route replaced.  The visibility oracle takes only the anchor
 perturbation schedule from the library, the box counter only the lattice
-points and facets, and the cell search only the lattice points and an
-obstruction set.
+points and facets, the cell search only the lattice points and an
+obstruction set, and the dilate inversion only the dilate counts, which
+the box counter checks.
 """
 
 from __future__ import annotations
@@ -22,11 +24,17 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
-from cosmopoly.errors import Budget, CosmopolyError, DisconnectedGraph, as_budget
+from cosmopoly.errors import (
+    Budget,
+    CosmopolyError,
+    DisconnectedGraph,
+    TheoremViolation,
+    as_budget,
+)
 from cosmopoly.grobner import Obstruction
-from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, _perturbed_anchor
+from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, IntPolynomial, _perturbed_anchor
 from cosmopoly.multigraph import Multigraph, is_connected
-from cosmopoly.polytope import facet_inequalities, lattice_points
+from cosmopoly.polytope import count_dilate_points, dimension, facet_inequalities, lattice_points
 from cosmopoly.triangulation import Simplex
 
 
@@ -233,6 +241,29 @@ def enumerate_triangulation(
     finally:
         del rec  # rec holds itself through its closure; free the search state now
     return [tuple(points[i] for i in combo) for combo in found]
+
+
+def ehrhart_all_dilates(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
+    """h* by alternating-sum inversion of the dilate counts N(0..|E|), one
+    :func:`count_dilate_points` call per t.  Only |E| + 1 dilates are needed
+    because deg h* = |E|."""
+    if not is_connected(g):
+        raise DisconnectedGraph("ehrhart route requires a connected graph")
+    bud = as_budget(budget)
+    d = dimension(g)
+    ne = len(g.edges)
+    counts = [count_dilate_points(g, t, bud) for t in range(ne + 1)]
+    h = []
+    for k in range(ne + 1):
+        h.append(
+            sum(
+                (-1) ** j * comb(d + 1, j) * counts[k - j]
+                for j in range(k + 1)
+            )
+        )
+    if h[0] != 1 or any(x < 0 for x in h):
+        raise TheoremViolation(f"inverted h* is not in normal form: {h}")
+    return IntPolynomial(h)
 
 
 def series_count(h_coeffs, d: int, t: int) -> int:

@@ -162,7 +162,7 @@ def test_criterion_8_structure_sweep():
     t0 = time.perf_counter()
     checked = 0
     ok = True
-    for g in enumerate_connected_multigraphs(7):
+    for g in enumerate_connected_multigraphs(8):
         h = hstar_visibility(g)
         check_structure_theorems(g, h)  # raises on degree/h1/bound/equality failure
         ok = ok and check_upper_bound_conjecture(g, h).status == "HOLDS"
@@ -170,9 +170,9 @@ def test_criterion_8_structure_sweep():
         ok = ok and verified.ok and not verified.skipped
         ok = ok and {"blocks", "visibility", "ehrhart"} <= set(verified.methods)
         checked += 1
-    ok = ok and checked == 46
+    ok = ok and checked == 93
     message = f"structure theorems, upper bound and three agreeing h* routes over {checked} graphs"
-    report(8, ok, message + " with |V|+|E| <= 7", t0)
+    report(8, ok, message + " with |V|+|E| <= 8", t0)
 
 
 def test_criterion_9_theta_consistency():

@@ -345,8 +345,9 @@ def test_cache_dir_that_is_a_file_only_warns(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "record",
-    [b"[1, 2]", b'{"payload": [1, 2]}', b'{"payload": null}', b"3", b"\xff"],
-    ids=["list", "list-payload", "null-payload", "number", "not-utf8"],
+    [b"[1, 2]", b'{"payload": [1, 2]}', b'{"payload": null}', b'{"payload": {}}', b"3",
+     b"\xff"],
+    ids=["list", "list-payload", "null-payload", "gutted", "number", "not-utf8"],
 )
 def test_unusable_cache_record_is_a_miss(tmp_path, capsys, record):
     path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
@@ -357,6 +358,21 @@ def test_unusable_cache_record_is_a_miss(tmp_path, capsys, record):
     code, out, err = invoke(capsys, "hstar", path, "--json", "--cache-dir", str(cache))
     assert (code, out, err) == (EXIT_OK, uncached, "")
     assert json.loads(stored.read_text())["payload"] == json.loads(uncached)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+def test_cache_record_of_another_request_is_a_miss(tmp_path, capsys, as_json):
+    path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
+    flags = ["--json"] if as_json else []
+    cache = tmp_path / "cache"
+    invoke(capsys, "info", path, "--cache-dir", str(cache))
+    (info_record,) = cache.glob("*.json")
+    _, uncached, _ = invoke(capsys, "hstar", path, *flags, "--cache-dir", str(cache))
+    (hstar_record,) = set(cache.glob("*.json")) - {info_record}
+    hstar_record.write_bytes(info_record.read_bytes())
+    code, out, err = invoke(capsys, "hstar", path, *flags, "--cache-dir", str(cache))
+    assert (code, out, err) == (EXIT_OK, uncached, "")
+    assert json.loads(hstar_record.read_text())["command"] == "hstar"
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -52,6 +52,7 @@ from cosmopoly.triangulation import build_triangulation, placing_pass
 
 from oracles import (
     barycentric,
+    ehrhart_all_dilates,
     point_on_a_cell_facet_hyperplane,
     relabeled,
     small_multigraphs,
@@ -256,6 +257,33 @@ def test_ehrhart_examples():
         assert ehrhart_count_from_hstar(h, dimension(g), t) == count_dilate_points(g, t)
 
 
+K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def test_ehrhart_matches_all_dilates_oracle():
+    rng = random.Random(8)
+    graphs = [theta_graph(1, 2, 2), K4]
+    for g in enumerate_connected_multigraphs(6):
+        graphs += [g, relabeled(g, rng)]
+    for g in graphs:
+        assert hstar_ehrhart(g) == ehrhart_all_dilates(g)
+
+
+@pytest.mark.parametrize("g", [loop_graph(3), K4], ids=["three-loops", "K4"])
+def test_ehrhart_halves_must_agree(g, monkeypatch):
+    # On these graphs the run reaches one dilate past |V| + b, so its last
+    # interior count feeds only the coefficient that both halves give.
+    sumsets = hstar_module._sumsets
+
+    def last_interior_count_off_by_one(g, top, budget, interior):
+        for t, (count, inside) in enumerate(sumsets(g, top, budget, interior)):
+            yield count, inside + (t == top)
+
+    monkeypatch.setattr(hstar_module, "_sumsets", last_interior_count_off_by_one)
+    with pytest.raises(TheoremViolation, match="from interior counts"):
+        hstar_ehrhart(g)
+
+
 def test_ehrhart_reconstruction_roundtrip():
     h = poly(1, 9, 27, 19)
     assert [ehrhart_count_from_hstar(h, 5, t) for t in range(4)] == [1, 15, 102, 426]
@@ -402,8 +430,9 @@ def test_structure_checks_pass_on_corpus():
 
 
 def test_structure_checks_codegree():
-    results = check_structure_theorems(single_edge(), poly(1, 3), codegree_budget=100000)
-    assert any(r.name == "codegree" and r.ok for r in results)
+    for g in [single_edge(), triangle(), multicycle((2, 1, 1))]:
+        results = check_structure_theorems(g, hstar_blocks(g), codegree_budget=100000)
+        assert any(r.name == "codegree" and r.ok for r in results)
 
 
 def test_forest_attains_lower_bound():

@@ -14,7 +14,14 @@ import pytest
 import cosmopoly.hstar as hstar_module
 from cosmopoly.cli import run
 from cosmopoly.hstar import build_anchor, hstar_ehrhart, hstar_visibility
-from cosmopoly.multigraph import cycle_graph, simple_cycles, simple_paths, theta_graph, triangle
+from cosmopoly.multigraph import (
+    cycle_graph,
+    multicycle,
+    simple_cycles,
+    simple_paths,
+    theta_graph,
+    triangle,
+)
 from cosmopoly.polytope import count_dilate_points
 from cosmopoly.sweep import verify_graph
 from cosmopoly.triangulation import build_triangulation
@@ -44,6 +51,7 @@ CALLS = {
     "build_triangulation": lambda: build_triangulation(theta_graph(1, 1, 2)),
     "count_dilate_points": lambda: count_dilate_points(cycle_graph(3), 3),
     "hstar_ehrhart": lambda: hstar_ehrhart(triangle()),
+    "hstar_ehrhart_with_interior_counts": lambda: hstar_ehrhart(multicycle((2, 1, 1))),
     "hstar_visibility": lambda: hstar_visibility(theta_graph(1, 1, 2)),
     "verify_graph": lambda: verify_graph(triangle()),
     "simple_paths": lambda: list(simple_paths(theta_graph(1, 1, 2))),

@@ -187,14 +187,19 @@ def test_sumset_counts_match_box_oracle():
     [(triangle(), H_TRIANGLE), (multicycle((2, 1, 1)), hstar_closed_multicycle((2, 1, 1)).coeffs)],
 )
 def test_ehrhart_budget_is_sumset_steps(g, h):
-    # dilate t builds t sumsets; step k pays |S_(k-1)| = N(k-1) times the
-    # number of lattice points
+    # one sumset run up to top = max(a, |V| + b); step k pays |S_(k-1)| =
+    # N(k-1) times the number of lattice points, and the interior counts,
+    # needed when b >= 0, add one facet scan
     d = dimension(g)
-    expected = sum(
-        series_count(h, d, k) * len(lattice_points(g))
-        for t in range(len(g.edges) + 1)
-        for k in range(t)
-    )
+    ne = len(g.edges)
+    a = min(ne, (d + 1) // 2)
+    b = ne - 1 - a
+    top = max(a, g.vertex_count + b)
+    expected = sum(series_count(h, d, k) * len(lattice_points(g)) for k in range(top))
+    if b >= 0:
+        scan = Budget(None)
+        list(connected_subgraphs(g, scan))
+        expected += scan.used
     bud = Budget(None)
     hstar_ehrhart(g, bud)
     assert bud.used == expected
