@@ -18,8 +18,8 @@ exactly that.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -194,13 +194,19 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 class AnchorPoint:
     """Strictly positive rational point of coordinate sum 1, certified to miss
     every cell-facet hyperplane exactly, with the cells it was certified
-    against, sorted as by ``build_triangulation``, and their visibility
-    histogram: ``visible_counts[i]`` cells have exactly i visible facets."""
+    against and their visibility histogram: ``visible_counts[i]`` cells have
+    exactly i visible facets."""
 
     coords: tuple[Fraction, ...]
     perturbation_index: int
     visible_counts: tuple[int, ...]
-    cells: tuple[Simplex, ...] = field(repr=False)
+    graph: Multigraph = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)  # the cells as bit masks of point indices
+
+    @cached_property
+    def cells(self) -> tuple[Simplex, ...]:
+        """The cells, sorted as by ``build_triangulation``."""
+        return tuple(cells_from_masks(self.graph, self.masks))
 
 
 def _base_anchor(g: Multigraph) -> list[Fraction]:
@@ -249,19 +255,20 @@ def build_anchor(
         scale = math.lcm(*(c.denominator for c in q))
         ints = [int(c * scale) for c in q]
         # Row j of a cell's inverse is the facet functional opposite its point
-        # p_j, 1 on p_j, so y_j < 0 iff facet j is visible from Q.  The p_j
-        # have coordinate sum 1, so the y_j sum to scale > 0 and at most
-        # len(ints) - 1 facets of a cell are visible.
+        # p_j, 1 on p_j, and its last entry is y_j, the row times Q; y_j < 0
+        # iff facet j is visible from Q.  The p_j have coordinate sum 1, so
+        # the y_j sum to scale > 0 and at most len(ints) - 1 facets of a cell
+        # are visible.
         counts = [0] * len(ints)
         masks = []
-        for cell, inverse in placing_pass(g, order, bud):
-            y = [sum(map(operator.mul, row, ints)) for row in inverse]
+        for cell, inverse in placing_pass(g, order, bud, ints):
+            y = [row[-1] for row in inverse]
             if 0 in y:
                 break
             counts[sum(1 for v in y if v < 0)] += 1
             masks.append(sum(1 << i for i in cell))
         else:
-            return AnchorPoint(tuple(q), index, tuple(counts), tuple(cells_from_masks(g, masks)))
+            return AnchorPoint(tuple(q), index, tuple(counts), g, tuple(masks))
     raise AnchorFailure("no general-position anchor within the retry schedule")
 
 
@@ -477,8 +484,9 @@ def check_structure_theorems(
 ) -> list[CheckResult]:
     """Assert the proven facts about h*: degree |E|, linear coefficient
     3|E| - 2#loops, the coefficientwise lower bound with its equality
-    characterization, palindromicity exactly for all-loop graphs, and (budget
-    permitting) codegree |V| via interior-point counts.
+    characterization, palindromicity exactly for all-loop graphs, and, only
+    when ``codegree_budget`` is given, codegree |V| via interior-point
+    counts.  No CLI command passes one, so ``verify`` never runs that check.
 
     Raises TheoremViolation on any failure; that means a bug, not new math.
     """

@@ -139,12 +139,11 @@ def verify_graph(
     skipped: dict[str, str] = {}
     methods["blocks"] = hstar_blocks(g, bud)
 
-    cells = None
+    anchor = None
     if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
         try:
             if is_connected(g):
                 anchor = build_anchor(g, default_good_order(g, seed=order_seed), bud)
-                cells = anchor.cells
                 methods["visibility"] = IntPolynomial(anchor.visible_counts)
             else:
                 methods["visibility"] = hstar(g, "visibility", bud, order_seed)
@@ -170,8 +169,8 @@ def verify_graph(
     h = report.hstar()
     report.theorem_checks = check_structure_theorems(g, h)
     report.conjectures.append(check_upper_bound_conjecture(g, h))
-    if cells is not None:
-        report.conjectures.append(check_statistic_conjecture(g, h, cells))
+    if anchor is not None:
+        report.conjectures.append(check_statistic_conjecture(g, h, anchor.cells))
     return report
 
 

@@ -9,8 +9,19 @@ the points skipped there later changes nothing, as each is a cone apex.
 Each later point p is coned over every boundary facet (C, q), which omits
 the point of cell C in slot q, with (C^-1 p)_q < 0: p lies beyond it.  The
 new cell C - q + p gets its integer inverse from one rank-one pivot by
-(C^-1 p)_q, which is +-1 as every cell is unimodular.  A new facet no point
-still to come lies beyond is on the boundary of the polytope; it is dropped.
+(C^-1 p)_q, which is +-1 as every cell is unimodular.
+
+Visible facets come from conflict lists (Clarkson and Shor): each new facet
+is tested against the points still to come, in placing order, and filed
+under the first one beyond it.  Until that point is placed no point lies
+beyond the facet, so it stays on the boundary, and when it is placed the
+facet is visible; the facets filed under a point are thus exactly those it
+sees, in the order they were made.  A new facet no point still to come lies
+beyond is on the boundary of the polytope; it is dropped.
+
+Given an integer anchor point Q, every row of an inverse carries one more
+entry, the row times Q, that is (C^-1 Q)_q.  The pivots are row operations,
+so they keep that entry exact at the cost of one more entry per row.
 
 Cells are rendered back onto the graph: a vertex is white when its z-point is
 present; an edge shows as plain (z), squiggly (t), or directed (y) strokes,
@@ -63,8 +74,8 @@ def build_triangulation(
 ) -> list[Simplex]:
     """The placing triangulation of a good term order (the default order when
     ``order`` is None), its cells sorted by canonical point indices.  One
-    budget node is charged per boundary facet scanned, per cell made and per
-    point still to come tested against a new facet."""
+    budget node is charged per cell made and per point still to come tested
+    against a new facet."""
     # placed in full first, so that the placing state is freed before the sort
     masks = [sum(1 << i for i in cell) for cell, _ in placing_pass(g, order, budget)]
     return cells_from_masks(g, masks)
@@ -81,10 +92,13 @@ def placing_pass(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
+    anchor: Sequence[int] = (),
 ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """Yield the cells of :func:`build_triangulation` as they are made, as
     (cell, inverse): the point indices by slot, and the integer inverse,
     whose row q is the facet functional opposite slot q, 1 on its point.
+    Given an integer ``anchor`` point, each row carries one more entry, the
+    row times the anchor.
 
     The first cell is found by integer (Bareiss) pivots of the points into
     unit-vector slots, which keep ``inverse`` at ``det`` times the inverse of
@@ -102,7 +116,8 @@ def placing_pass(
               for p in points]
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
     m = g.vertex_count + len(g.edges)
-    inverse = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    # the identity, with the anchor as its last column: the rows times the anchor
+    inverse = [tuple(int(i == j) for j in range(m)) + tuple(anchor[i : i + 1]) for i in range(m)]
     det, first, rest = 1, [-1] * m, []
     for i in placing:
         y = [_dot(row, sparse[i]) for row in inverse]
@@ -116,7 +131,9 @@ def placing_pass(
         inverse[q], det = lead, y[q]
     if det not in (1, -1):
         raise TheoremViolation(f"the first cell has determinant {det}, not +-1")
-    boundary: list[tuple] = []  # facets (cell, inverse, q): they omit cell[q], whose row is q
+    # conflict lists: visible[k] holds the facets (cell, inverse, q), omitting
+    # cell[q], that rest[k] is the first point still to come to lie beyond
+    visible: list[list[tuple]] = [[] for _ in rest]
     # new cells, with the slot of the point just placed
     made = [(tuple(first), tuple(tuple(det * a for a in row) for row in inverse), -1)]
     for step in range(len(rest) + 1):
@@ -132,17 +149,14 @@ def placing_pass(
             beyond = next((n for n, j in enumerate(future, 1) if _dot(inv[x], sparse[j]) < 0), 0)
             bud.spend(beyond or len(future))
             if beyond:
-                boundary.append((cell, inv, x))
+                visible[step + beyond - 1].append((cell, inv, x))
         if not future:
             break
         p, sp = future[0], sparse[future[0]]
-        bud.spend(len(boundary))
-        seen = [_dot(inv[q], sp) < 0 for _, inv, q in boundary]
-        visible = [f for f, s in zip(boundary, seen) if s]
-        boundary = [f for f, s in zip(boundary, seen) if not s]
-        bud.spend(len(visible))
+        bud.spend(len(visible[step]))
         made = [(cell[:q] + (p,) + cell[q + 1 :], _pivot(inv, [_dot(r, sp) for r in inv], q), q)
-                for cell, inv, q in visible]
+                for cell, inv, q in visible[step]]
+        visible[step] = []
 
 
 def _dot(row: Sequence[int], s: tuple[int, ...]) -> int:

@@ -4,14 +4,16 @@ Everything here is deliberately naive: subset scans, permutation scans and
 rational Gaussian elimination, sharing no code with the library paths they
 certify.  The rational solve checks the integer determinant.  The two-pass
 visibility count, the box counter of dilate points, the
-obstruction-avoiding cell search and the inversion of all dilates are the
-routes that the visibility tally read off the placing inverses, the IDP
-sumset, the placing triangulation and the reciprocity halves of the
-Ehrhart route replaced.  The visibility oracle takes only the anchor
+obstruction-avoiding cell search, the inversion of all dilates and the
+boundary-scanning placing pass are the routes that the visibility tally
+read off the placing inverses, the IDP sumset, the placing triangulation,
+the reciprocity halves of the Ehrhart route and the conflict lists of the
+placing pass replaced.  The visibility oracle takes only the anchor
 perturbation schedule from the library, the box counter only the lattice
 points and facets, the cell search only the lattice points and an
-obstruction set, and the dilate inversion only the dilate counts, which
-the box counter checks.
+obstruction set, the dilate inversion only the dilate counts, which the
+box counter checks, and the scanning pass only the lattice points and the
+goodness check of the term order.
 """
 
 from __future__ import annotations
@@ -20,18 +22,19 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
 from cosmopoly.errors import (
+    BadTermOrder,
     Budget,
     CosmopolyError,
     DisconnectedGraph,
     TheoremViolation,
     as_budget,
 )
-from cosmopoly.grobner import Obstruction
+from cosmopoly.grobner import Obstruction, TermOrder, default_good_order, is_good_order
 from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, IntPolynomial, _perturbed_anchor
 from cosmopoly.multigraph import Multigraph, is_connected
 from cosmopoly.polytope import count_dilate_points, dimension, facet_inequalities, lattice_points
@@ -241,6 +244,85 @@ def enumerate_triangulation(
     finally:
         del rec  # rec holds itself through its closure; free the search state now
     return [tuple(points[i] for i in combo) for combo in found]
+
+
+def scan_placing_pass(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The placing pass that tests every boundary facet against each point
+    placed: (cell, inverse) in the order the cells are made.
+
+    The first cell comes from Bareiss pivots of the points into unit-vector
+    slots.  A facet of the new cells that no later point lies beyond is
+    dropped; every other one is kept on the boundary, and each later point
+    is coned over the boundary facets it lies beyond, in the order they
+    were kept.  Besides the nodes of the goodness check it charges one node
+    per boundary facet scanned, per cell made and per later point tested
+    against a new facet.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraph("triangulation enumeration requires a connected graph")
+    bud = as_budget(budget)
+    if order is None:
+        order = default_good_order(g)
+    if not is_good_order(order, g, bud):
+        raise BadTermOrder("term order fails the goodness check on this graph")
+    points = lattice_points(g)
+    coords = [p.coords for p in points]
+    placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
+    m = g.vertex_count + len(g.edges)
+
+    def dot(row, i):
+        return sum(a * c for a, c in zip(row, coords[i]))
+
+    inverse = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    det, first, rest = 1, [-1] * m, []
+    for i in placing:
+        y = [dot(row, i) for row in inverse]
+        q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
+        if q is None:
+            rest.append(i)
+            continue
+        first[q], lead = i, inverse[q]
+        inverse = [tuple((y[q] * a - y[x] * b) // det for a, b in zip(row, lead))
+                   for x, row in enumerate(inverse)]
+        inverse[q], det = lead, y[q]
+    if det not in (1, -1):
+        raise TheoremViolation(f"the first cell has determinant {det}, not +-1")
+    boundary: list[tuple] = []  # facets (cell, inverse, q): they omit cell[q], whose row is q
+    made = [(tuple(first), tuple(tuple(det * a for a in row) for row in inverse), -1)]
+    for step in range(len(rest) + 1):
+        fresh: dict[frozenset, tuple] = {}  # facets of the new cells but those two share
+        for cell, inv, q in made:
+            yield cell, inv
+            for x in range(m):
+                key = frozenset(cell) - {cell[x]}
+                if x != q and fresh.pop(key, None) is None:
+                    fresh[key] = (cell, inv, x)
+        future = rest[step:]
+        for cell, inv, x in fresh.values():
+            beyond = next((n for n, j in enumerate(future, 1) if dot(inv[x], j) < 0), 0)
+            bud.spend(beyond or len(future))
+            if beyond:
+                boundary.append((cell, inv, x))
+        if not future:
+            break
+        p = future[0]
+        bud.spend(len(boundary))
+        visible = [f for f in boundary if dot(f[1][f[2]], p) < 0]
+        boundary = [f for f in boundary if dot(f[1][f[2]], p) >= 0]
+        bud.spend(len(visible))
+        made = []
+        for cell, inv, q in visible:
+            y = [dot(row, p) for row in inv]
+            if y[q] not in (1, -1):
+                raise TheoremViolation(f"placing pivot {y[q]}: the new cell is not unimodular")
+            lead = tuple(y[q] * a for a in inv[q])
+            new = tuple(lead if x == q else tuple(a - y[x] * b for a, b in zip(row, lead))
+                        for x, row in enumerate(inv))
+            made.append((cell[:q] + (p,) + cell[q + 1 :], new, q))
 
 
 def ehrhart_all_dilates(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import cosmopoly.hstar as hstar_module
+import cosmopoly.sweep as sweep_module
 from cosmopoly.errors import (
     Budget,
     DisconnectedGraph,
@@ -13,6 +14,7 @@ from cosmopoly.errors import (
     TheoremViolation,
 )
 from cosmopoly.hstar import (
+    ONE,
     IntPolynomial,
     ONE_PLUS_3Z,
     ONE_PLUS_Z,
@@ -47,7 +49,7 @@ from cosmopoly.multigraph import (
     triangle,
 )
 from cosmopoly.polytope import count_dilate_points, dimension, lattice_points
-from cosmopoly.sweep import enumerate_connected_multigraphs
+from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
 from cosmopoly.triangulation import build_triangulation, placing_pass
 
 from oracles import (
@@ -222,6 +224,30 @@ def test_anchor_retry_when_base_point_hits_a_facet_hyperplane(monkeypatch):
 def test_visibility_one_placing_pass():
     for g in (theta_graph(1, 1, 2), multicycle((2, 1, 1))):
         assert _spend(hstar_visibility, g) == _spend(build_triangulation, g) > 0
+
+
+def test_cells_are_sorted_only_for_the_statistic_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cells sorted")
+
+    g = theta_graph(1, 1, 2)
+    monkeypatch.setattr(hstar_module, "cells_from_masks", refuse)
+    assert hstar_visibility(g) == hstar(g, "visibility") == theta_hstar(1, 1, 2)
+    # routes that disagree leave the statistic unchecked, so no cells are sorted
+    monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget: ONE)
+    report = verify_graph(g)
+    assert not report.agree and not report.conjectures
+    monkeypatch.undo()
+    cells_from_masks, sorts = hstar_module.cells_from_masks, []
+
+    def counted(*args):
+        sorts.append(args)
+        return cells_from_masks(*args)
+
+    monkeypatch.setattr(hstar_module, "cells_from_masks", counted)
+    report = verify_graph(g)
+    (finding,) = [c for c in report.conjectures if c.name == "statistic"]
+    assert finding.status == "HOLDS" and len(sorts) == 1
 
 
 def test_visibility_matches_two_pass_oracle():

@@ -48,6 +48,7 @@ def anchor_after_a_dropped_pass():
 CALLS = {
     "anchor_after_a_dropped_pass": anchor_after_a_dropped_pass,
     "cli.run": lambda: run(["conjecture", "theta", "--max-size", "3"]),
+    "build_anchor.cells": lambda: build_anchor(theta_graph(1, 1, 2)).cells,
     "build_triangulation": lambda: build_triangulation(theta_graph(1, 1, 2)),
     "count_dilate_points": lambda: count_dilate_points(cycle_graph(3), 3),
     "hstar_ehrhart": lambda: hstar_ehrhart(triangle()),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from cosmopoly.errors import (
     BadTermOrder,
+    Budget,
     BudgetExceeded,
     DisconnectedGraph,
     StructureViolation,
@@ -38,6 +39,7 @@ from cosmopoly.triangulation import (
     build_triangulation,
     decorated_view,
     normalized_volume,
+    placing_pass,
     sq_db_counts,
     validate_multicycle_structure,
 )
@@ -47,6 +49,7 @@ from oracles import (
     brute_cells,
     enumerate_triangulation,
     matrix_rank,
+    scan_placing_pass,
     small_multigraphs,
 )
 
@@ -175,24 +178,65 @@ def dependent_start(g, order):
     return matrix_rank([p.coords for p in reversed(order.ranked[-m:])]) < m
 
 
-def test_placing_matches_oracle_on_random_good_orders():
+def random_good_orders():
+    """A good order of path(2) whose first points placed are dependent, then
+    four class-ranked random good orders per graph of the |V|+|E| <= 6 sweep."""
     g = path_graph(2)
-    order = TermOrder(
-        [point_by_name(g, n) for n in "yf0 yf1 yb1 yb0 ze1 t1 t0 ze0 zv2 zv1 zv0".split()]
-    )
+    names = "yf0 yf1 yb1 yb0 ze1 t1 t0 ze0 zv2 zv1 zv0".split()
+    yield g, TermOrder([point_by_name(g, n) for n in names])
+    rng = random.Random(5)
+    for g in enumerate_connected_multigraphs(6):
+        for _ in range(4):
+            yield g, class_ranked_order(g, rng)
+
+
+def test_placing_matches_oracle_on_random_good_orders():
+    (g, order), *rest = random_good_orders()
     assert dependent_start(g, order)
     assert build_triangulation(g, order) == oracle_cells(g, order)
     assert len(build_triangulation(g, order)) == 16
-    rng = random.Random(5)
     cases = dependent = 0
-    for g in enumerate_connected_multigraphs(6):
-        for _ in range(4):
-            order = class_ranked_order(g, rng)
-            assert is_good_order(order, g)
-            assert build_triangulation(g, order) == oracle_cells(g, order)
-            cases += 1
-            dependent += dependent_start(g, order)
+    for g, order in rest:
+        assert is_good_order(order, g)
+        assert build_triangulation(g, order) == oracle_cells(g, order)
+        cases += 1
+        dependent += dependent_start(g, order)
     assert cases == 92 and 0 < dependent < cases
+
+
+def assert_matches_scan(g, order):
+    # the same (cell, inverse) sequence as the pass that scans the boundary,
+    # for fewer nodes: the boundary scans are no longer charged
+    bud, scanned = Budget(None), Budget(None)
+    assert list(placing_pass(g, order, bud)) == list(scan_placing_pass(g, order, scanned))
+    assert bud.used <= scanned.used
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_placing_pass_matches_scan_oracle_on_sweep(seed):
+    for g in enumerate_connected_multigraphs(7):
+        assert_matches_scan(g, default_good_order(g, seed=seed))
+
+
+def test_placing_pass_matches_scan_oracle_on_random_good_orders():
+    for g, order in random_good_orders():
+        assert_matches_scan(g, order)
+
+
+def test_placing_anchor_column_is_rows_times_anchor():
+    rng = random.Random(11)
+    cases = [(g, default_good_order(g)) for g in enumerate_connected_multigraphs(6)]
+    for g, order in cases + [next(random_good_orders())]:
+        m = g.vertex_count + len(g.edges)
+        ints = [rng.randint(-9, 9) for _ in range(m)]
+        plain = list(placing_pass(g, order))
+        carried = list(placing_pass(g, order, anchor=ints))
+        assert [cell for cell, _ in carried] == [cell for cell, _ in plain]
+        for (_, inverse), (_, with_column) in zip(plain, carried):
+            assert tuple(row[:m] for row in with_column) == inverse
+            assert [row[m] for row in with_column] == [
+                sum(a * b for a, b in zip(row[:m], ints)) for row in with_column
+            ]
 
 
 def test_placing_rejects_bad_order_and_non_unimodular_pivot():
