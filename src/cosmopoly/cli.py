@@ -445,6 +445,17 @@ _GRAPH_COMMANDS = {
 }
 
 
+def _node_count(text: str) -> int:
+    """A --budget-nodes value: an int, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 @functools.cache  # once per process: a parser is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         if graph:
             p.add_argument("graph", help="graph file path, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--budget-nodes", type=int, default=10_000_000, metavar="N",
+        p.add_argument("--budget-nodes", type=_node_count, default=10_000_000, metavar="N",
                        help="cap on search-tree nodes before aborting (default 10M)")
         p.add_argument("--cache-dir", default=None,
                        help="result cache directory (or set COSMOPOLY_CACHE)")

@@ -46,7 +46,14 @@ from .multigraph import (
     is_connected,
 )
 from .polytope import _sumsets, dimension, lattice_points
-from .triangulation import Simplex, cells_from_masks, decorated_view, placing_pass, sq_db_counts
+from .triangulation import (
+    Packing,
+    Simplex,
+    cells_from_masks,
+    decorated_view,
+    placing_pass,
+    sq_db_counts,
+)
 
 
 class IntPolynomial:
@@ -255,18 +262,19 @@ def build_anchor(
         scale = math.lcm(*(c.denominator for c in q))
         ints = [int(c * scale) for c in q]
         # Row j of a cell's inverse is the facet functional opposite its point
-        # p_j, 1 on p_j, and its last entry is y_j, the row times Q; y_j < 0
+        # p_j, 1 on p_j, and its anchor entry is y_j, the row times Q; y_j < 0
         # iff facet j is visible from Q.  The p_j have coordinate sum 1, so
         # the y_j sum to scale > 0 and at most len(ints) - 1 facets of a cell
         # are visible.
+        packing = Packing.of(g, ints)
         counts = [0] * len(ints)
         masks = []
-        for cell, inverse in placing_pass(g, order, bud, ints):
-            y = [row[-1] for row in inverse]
-            if 0 in y:
+        for _, mask, inverse in placing_pass(g, order, bud, ints):
+            seen = packing.negatives(inverse)
+            if seen is None:
                 break
-            counts[sum(1 for v in y if v < 0)] += 1
-            masks.append(sum(1 << i for i in cell))
+            counts[seen] += 1
+            masks.append(mask)
         else:
             return AnchorPoint(tuple(q), index, tuple(counts), g, tuple(masks))
     raise AnchorFailure("no general-position anchor within the retry schedule")

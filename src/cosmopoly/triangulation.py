@@ -19,9 +19,36 @@ facet is visible; the facets filed under a point are thus exactly those it
 sees, in the order they were made.  A new facet no point still to come lies
 beyond is on the boundary of the polytope; it is dropped.
 
-Given an integer anchor point Q, every row of an inverse carries one more
-entry, the row times Q, that is (C^-1 Q)_q.  The pivots are row operations,
-so they keep that entry exact at the cost of one more entry per row.
+Each inverse is one Python int, packed as small integers side by side in
+one register (SWAR).  Row x holds its m entries in the digits
+xS .. xS + m - 1 of w bits each, S >= 2m - 1, and a point c is packed as
+the sum of c_k 2^(w(m-1-k)).  Digit xS + m - 1 of their product is then
+row x times c, and every other digit of row x's product stays inside the
+row's slot of S digits.  So C^-1 p costs one multiplication, then a shift
+and a mask lay it out as y_x 2^(wxS), and the pivot is the one
+multiply-subtract C^-1 - (y - e_q) y_q r_q, where r_q is row q of C^-1.
+Every digit is stored offset by 2^(w-1), so it is a w-bit field that never
+borrows from its neighbours: a row, a product digit or its sign is a shift
+and a mask away.
+
+The width w is proven for each pass, not chosen.  Every cell is
+unimodular, so an entry of its inverse is +- an (m-1)-minor of lattice
+points, and by Hadamard's inequality at most E, the integer square root of
+the product of the m - 1 largest squared point norms.  A product digit sums
+entries times the coordinates of one point, so it is at most D = E times
+the largest 1-norm of a point, and w is one bit more than D needs: 11 bits
+for theta(2,2,2), 10 for K4, 14 for theta(2,3,3).
+
+Given an integer anchor point Q, each row also carries its anchor entry,
+the row times Q, that is (C^-1 Q)_x, in a field of its own just above the
+row's entries, offset by half the field.  The pivots are row operations, so
+the same multiply-subtract keeps it exact, and the facets visible from Q,
+the negative anchor entries, are counted off the fields' sign bits.  An
+anchor entry is at most E times the 1-norm of Q in size, so the field and,
+in the product with a point, the entry times the point stay inside the
+slot once S grows by the digits that bound needs and three bits more: the
+product's part above the digit read then stays within a quarter of the
+offsets above it, and no slot borrows from the next.
 
 Cells are rendered back onto the graph: a vertex is white when its z-point is
 present; an edge shows as plain (z), squiggly (t), or directed (y) strokes,
@@ -30,6 +57,7 @@ with at most two strokes per edge.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -77,7 +105,7 @@ def build_triangulation(
     budget node is charged per cell made and per point still to come tested
     against a new facet."""
     # placed in full first, so that the placing state is freed before the sort
-    masks = [sum(1 << i for i in cell) for cell, _ in placing_pass(g, order, budget)]
+    masks = [mask for _, mask, _ in placing_pass(g, order, budget)]
     return cells_from_masks(g, masks)
 
 
@@ -88,21 +116,122 @@ def cells_from_masks(g: Multigraph, masks: Iterable[int]) -> list[Simplex]:
     return [tuple(points[i] for i in c) for c in cells]
 
 
+class Packing:
+    """The layout that packs each cell inverse of a placing pass, with its
+    anchor entries, into one int (see the module docstring), and the pivot
+    and the reads that work on it.
+
+    It is built from the coordinates of all points the pass may place and
+    the integer anchor, if any, so its width holds for every cell of the
+    pass.  Digits are stored offset by ``half``, anchor entries by
+    ``anchor_half``.
+    """
+
+    @classmethod
+    def of(cls, g: Multigraph, anchor: Sequence[int] = ()) -> Packing:
+        """The layout of a placing pass on ``g`` carrying ``anchor``."""
+        return cls([p.coords for p in lattice_points(g)], anchor)
+
+    def __init__(self, coords: Sequence[Sequence[int]], anchor: Sequence[int] = ()):
+        m = self.m = len(coords[0])
+        norms = sorted(sum(c * c for c in p) for p in coords)
+        # Hadamard: an entry of a unimodular inverse is +- an (m-1)-minor
+        self.entry_bound = math.isqrt(math.prod(norms[len(norms) - m + 1 :]))
+        # a digit of a row times a point sums entries times its coordinates
+        spread = max(sum(map(abs, p)) for p in coords)
+        self.digit_bound = self.entry_bound * spread
+        w = self.width = self.digit_bound.bit_length() + 1
+        self.digits, a = 2 * m - 1, 0
+        if anchor:
+            # an anchor entry is a row times the anchor; its field holds that less 1
+            bound = self.entry_bound * sum(map(abs, anchor))
+            a = (bound + 1).bit_length() + 1
+            # the entry times a point stays in the slot above the digit read,
+            # with three bits to spare (see the module docstring)
+            self.digits += -(-(3 + (1 + bound * spread).bit_length()) // w)
+        s = self.slot = w * self.digits
+        self.half, self.digit_mask = 1 << w - 1, (1 << w) - 1
+        self.anchor_half = (1 << a) // 2  # 0 without an anchor
+        self.row_mask, self.lead_mask = (1 << w * m) - 1, (1 << w * m + a) - 1
+        self.row_offset = sum(self.half << w * k for k in range(m))
+        self.lead_offset = self.row_offset + (self.anchor_half << w * m)
+        ones = sum(1 << s * x for x in range(m))
+        self.offset = self.lead_offset * ones
+        self.signs = self.anchor_half * ones << w * m  # the anchor entries' sign bits
+        self.anchor_ones = ones << w * m
+        self.points = [sum(c << w * (m - 1 - k) for k, c in enumerate(p)) for p in coords]
+        # an inverse times a point, offset in every digit for the read
+        read_offset = ones * sum(self.half << w * k for k in range(self.digits))
+        self.shifts = [self.offset * p - read_offset for p in self.points]
+        # digit m - 1 of each row of a product, shifted to the slot's foot: C^-1 p
+        self.y_shift, self.y_mask = w * (m - 1), self.digit_mask * ones
+        # the slots so read, less units[q], are C^-1 p less the unit vector e_q
+        self.units = [self.half * ones + (1 << s * q) for q in range(m)]
+
+    def pack(self, rows: Sequence[Sequence[int]]) -> int:
+        """Rows of m entries, each followed by its anchor entry if the layout
+        has an anchor."""
+        w, s = self.width, self.slot
+        return self.offset + sum(
+            v << s * x + w * k for x, row in enumerate(rows) for k, v in enumerate(row)
+        )
+
+    def rows(self, inverse: int) -> tuple[tuple[int, ...], ...]:
+        """The rows of a packed inverse, each followed by its anchor entry if
+        the layout has an anchor."""
+        w, s, m = self.width, self.slot, self.m
+        entries = [
+            tuple((inverse >> s * x + w * k & self.digit_mask) - self.half for k in range(m))
+            for x in range(m)
+        ]
+        if self.anchor_half:
+            mask = 2 * self.anchor_half - 1
+            return tuple(
+                row + ((inverse >> s * x + w * m & mask) - self.anchor_half,)
+                for x, row in enumerate(entries)
+            )
+        return tuple(entries)
+
+    def negatives(self, inverse: int) -> int | None:
+        """The number of negative anchor entries of a packed inverse, None if
+        one is 0."""
+        nonnegative = (inverse & self.signs).bit_count()
+        if ((inverse - self.anchor_ones) & self.signs).bit_count() != nonnegative:
+            return None  # an entry >= 0 that is not >= 1
+        return self.m - nonnegative
+
+    def pivot(self, inverse: int, j: int, q: int) -> int:
+        """The inverse, with its anchor entries, of a unimodular cell once
+        point j takes slot q."""
+        s = self.slot * q
+        y = (inverse * self.points[j] - self.shifts[j]) >> self.y_shift & self.y_mask
+        yq = (y >> s & self.digit_mask) - self.half
+        if yq not in (1, -1):
+            raise TheoremViolation(f"placing pivot {yq}: the new cell is not unimodular")
+        lead = (inverse >> s & self.lead_mask) - self.lead_offset
+        return inverse - (y - self.units[q]) * (lead if yq == 1 else -lead)
+
+
 def placing_pass(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
     anchor: Sequence[int] = (),
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield the cells of :func:`build_triangulation` as they are made, as
-    (cell, inverse): the point indices by slot, and the integer inverse,
-    whose row q is the facet functional opposite slot q, 1 on its point.
-    Given an integer ``anchor`` point, each row carries one more entry, the
-    row times the anchor.
+    (cell, mask, inverse): the point indices by slot, the same as a bit
+    mask, and the cell's integer inverse, whose row q is the facet
+    functional opposite slot q, 1 on its point.  The inverse is one int in
+    the layout ``Packing.of(g, anchor)``: row x in the digits
+    xS .. xS + m - 1, each of w bits and offset by 2^(w-1), where w covers
+    Hadamard's bound on the entries.  Given an integer ``anchor`` point,
+    each row also carries the row times the anchor, in a field just above
+    its entries.  :func:`unpacked_placing_pass` decodes the pass.
 
     The first cell is found by integer (Bareiss) pivots of the points into
-    unit-vector slots, which keep ``inverse`` at ``det`` times the inverse of
-    the current basis; a point with no nonzero slot left is dependent."""
+    unit-vector slots, on tuple rows, which keep ``inverse`` at ``det``
+    times the inverse of the current basis; a point with no nonzero slot
+    left is dependent."""
     if not is_connected(g):
         raise DisconnectedGraph("triangulation enumeration requires a connected graph")
     bud = as_budget(budget)
@@ -111,16 +240,14 @@ def placing_pass(
     if not is_good_order(order, g, bud):
         raise BadTermOrder("term order fails the goodness check on this graph")
     points = lattice_points(g)
-    # a point's nonzero coordinates (k, c_k), at most three, padded with (0, 0)
-    sparse = [sum(([kc for kc in enumerate(p.coords) if kc[1]] + [(0, 0)] * 2)[:3], ())
-              for p in points]
+    pk = Packing.of(g, anchor)
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
-    m = g.vertex_count + len(g.edges)
+    m = pk.m
     # the identity, with the anchor as its last column: the rows times the anchor
     inverse = [tuple(int(i == j) for j in range(m)) + tuple(anchor[i : i + 1]) for i in range(m)]
     det, first, rest = 1, [-1] * m, []
     for i in placing:
-        y = [_dot(row, sparse[i]) for row in inverse]
+        y = [sum(a * c for a, c in zip(row, points[i].coords)) for row in inverse]
         q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
         if q is None:
             rest.append(i)
@@ -131,47 +258,55 @@ def placing_pass(
         inverse[q], det = lead, y[q]
     if det not in (1, -1):
         raise TheoremViolation(f"the first cell has determinant {det}, not +-1")
-    # conflict lists: visible[k] holds the facets (cell, inverse, q), omitting
-    # cell[q], that rest[k] is the first point still to come to lie beyond
+    # conflict lists: visible[k] holds the facets (facet, cell, inverse, q),
+    # omitting cell[q], that rest[k] is the first point still to come to lie
+    # beyond; a facet is the mask of its points
     visible: list[list[tuple]] = [[] for _ in rest]
     # new cells, with the slot of the point just placed
-    made = [(tuple(first), tuple(tuple(det * a for a in row) for row in inverse), -1)]
+    inverse = pk.pack([[det * a for a in row] for row in inverse])
+    made = [(tuple(first), sum(1 << i for i in first), inverse, -1)]
+    packed = [pk.points[i] for i in rest]
+    slot, row_mask, row_offset = pk.slot, pk.row_mask, pk.row_offset
+    sign = 1 << pk.width * m - 1  # of digit m - 1 of a row times a point: their dot product
     for step in range(len(rest) + 1):
         fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
-        for cell, inv, q in made:
-            yield cell, inv
-            mask = sum(1 << i for i in cell)
-            for x in range(m):
-                if x != q and fresh.pop(mask ^ (1 << cell[x]), None) is None:
-                    fresh[mask ^ (1 << cell[x])] = (cell, inv, x)
-        future = rest[step:]
-        for cell, inv, x in fresh.values():
-            beyond = next((n for n, j in enumerate(future, 1) if _dot(inv[x], sparse[j]) < 0), 0)
-            bud.spend(beyond or len(future))
-            if beyond:
-                visible[step + beyond - 1].append((cell, inv, x))
+        for cell, mask, inv, q in made:
+            yield cell, mask, inv
+            for x, i in enumerate(cell):
+                if x != q and fresh.pop(facet := mask ^ 1 << i, None) is None:
+                    fresh[facet] = (cell, inv, x)
+        future = packed[step:]
+        tested = 0
+        for facet, (cell, inv, x) in fresh.items():
+            row = (inv >> slot * x & row_mask) - row_offset
+            for n, p in enumerate(future, step):
+                if not (row * p + row_offset) & sign:
+                    visible[n].append((facet, cell, inv, x))
+                    tested += n - step + 1
+                    break
+            else:
+                tested += len(future)
+        bud.spend(tested)
         if not future:
             break
-        p, sp = future[0], sparse[future[0]]
+        p = rest[step]
         bud.spend(len(visible[step]))
-        made = [(cell[:q] + (p,) + cell[q + 1 :], _pivot(inv, [_dot(r, sp) for r in inv], q), q)
-                for cell, inv, q in visible[step]]
+        made = [(cell[:q] + (p,) + cell[q + 1 :], facet | 1 << p, pk.pivot(inv, p, q), q)
+                for facet, cell, inv, q in visible[step]]
         visible[step] = []
 
 
-def _dot(row: Sequence[int], s: tuple[int, ...]) -> int:
-    return row[s[0]] * s[1] + row[s[2]] * s[3] + row[s[4]] * s[5]
-
-
-def _pivot(inverse: tuple, y: list[int], q: int) -> tuple:
-    """Inverse of a unimodular cell once slot q holds p, where inverse . p = y."""
-    if y[q] not in (1, -1):
-        raise TheoremViolation(f"placing pivot {y[q]}: the new cell is not unimodular")
-    lead = inverse[q] if y[q] == 1 else tuple(-a for a in inverse[q])
-    return tuple(
-        lead if x == q else row if not yx else tuple([a - yx * b for a, b in zip(row, lead)])
-        for x, (row, yx) in enumerate(zip(inverse, y))
-    )
+def unpacked_placing_pass(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+    anchor: Sequence[int] = (),
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """:func:`placing_pass` as (cell, inverse), the inverse decoded into
+    integer rows, each followed by the row times the anchor when given one."""
+    pk = Packing.of(g, anchor)
+    for cell, _, inverse in placing_pass(g, order, budget, anchor):
+        yield cell, pk.rows(inverse)
 
 
 def normalized_volume(points: Iterable[LatticePoint]) -> int:

@@ -8,12 +8,13 @@ obstruction-avoiding cell search, the inversion of all dilates and the
 boundary-scanning placing pass are the routes that the visibility tally
 read off the placing inverses, the IDP sumset, the placing triangulation,
 the reciprocity halves of the Ehrhart route and the conflict lists of the
-placing pass replaced.  The visibility oracle takes only the anchor
+placing pass replaced, and the tuple-row placing pass is the route the
+packed-integer kernel replaced.  The visibility oracle takes only the anchor
 perturbation schedule from the library, the box counter only the lattice
 points and facets, the cell search only the lattice points and an
 obstruction set, the dilate inversion only the dilate counts, which the
-box counter checks, and the scanning pass only the lattice points and the
-goodness check of the term order.
+box counter checks, and the two placing passes only the lattice points and
+the goodness check of the term order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -323,6 +324,98 @@ def scan_placing_pass(
             new = tuple(lead if x == q else tuple(a - y[x] * b for a, b in zip(row, lead))
                         for x, row in enumerate(inv))
             made.append((cell[:q] + (p,) + cell[q + 1 :], new, q))
+
+
+def tuple_placing_pass(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+    anchor: Sequence[int] = (),
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The placing pass with conflict lists on tuple rows: (cell, inverse)
+    in the order the cells are made, the inverse as a tuple of integer rows.
+    Given an integer ``anchor`` point, each row carries one more entry, the
+    row times the anchor.
+
+    Each step computes C^-1 p by one sparse dot product per row and rebuilds
+    every row the pivot changes; the first cell comes from Bareiss pivots of
+    the points into unit-vector slots.  It charges the nodes of the packed
+    pass: one per cell made and per later point tested against a new facet.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraph("triangulation enumeration requires a connected graph")
+    bud = as_budget(budget)
+    if order is None:
+        order = default_good_order(g)
+    if not is_good_order(order, g, bud):
+        raise BadTermOrder("term order fails the goodness check on this graph")
+    points = lattice_points(g)
+    # a point's nonzero coordinates (k, c_k), at most three, padded with (0, 0)
+    sparse = [sum(([kc for kc in enumerate(p.coords) if kc[1]] + [(0, 0)] * 2)[:3], ())
+              for p in points]
+    placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
+    m = g.vertex_count + len(g.edges)
+    # the identity, with the anchor as its last column: the rows times the anchor
+    inverse = [tuple(int(i == j) for j in range(m)) + tuple(anchor[i : i + 1]) for i in range(m)]
+    det, first, rest = 1, [-1] * m, []
+    for i in placing:
+        y = [_tuple_dot(row, sparse[i]) for row in inverse]
+        q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
+        if q is None:
+            rest.append(i)
+            continue
+        first[q], lead = i, inverse[q]
+        inverse = [tuple([(y[q] * a - y[x] * b) // det for a, b in zip(row, lead)])
+                   for x, row in enumerate(inverse)]
+        inverse[q], det = lead, y[q]
+    if det not in (1, -1):
+        raise TheoremViolation(f"the first cell has determinant {det}, not +-1")
+    # conflict lists: visible[k] holds the facets (cell, inverse, q), omitting
+    # cell[q], that rest[k] is the first point still to come to lie beyond
+    visible: list[list[tuple]] = [[] for _ in rest]
+    # new cells, with the slot of the point just placed
+    made = [(tuple(first), tuple(tuple(det * a for a in row) for row in inverse), -1)]
+    for step in range(len(rest) + 1):
+        fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
+        for cell, inv, q in made:
+            yield cell, inv
+            mask = sum(1 << i for i in cell)
+            for x in range(m):
+                if x != q and fresh.pop(mask ^ (1 << cell[x]), None) is None:
+                    fresh[mask ^ (1 << cell[x])] = (cell, inv, x)
+        future = rest[step:]
+        for cell, inv, x in fresh.values():
+            beyond = next(
+                (n for n, j in enumerate(future, 1) if _tuple_dot(inv[x], sparse[j]) < 0), 0
+            )
+            bud.spend(beyond or len(future))
+            if beyond:
+                visible[step + beyond - 1].append((cell, inv, x))
+        if not future:
+            break
+        p, sp = future[0], sparse[future[0]]
+        bud.spend(len(visible[step]))
+        made = [
+            (cell[:q] + (p,) + cell[q + 1 :],
+             _tuple_pivot(inv, [_tuple_dot(r, sp) for r in inv], q), q)
+            for cell, inv, q in visible[step]
+        ]
+        visible[step] = []
+
+
+def _tuple_dot(row: Sequence[int], s: tuple[int, ...]) -> int:
+    return row[s[0]] * s[1] + row[s[2]] * s[3] + row[s[4]] * s[5]
+
+
+def _tuple_pivot(inverse: tuple, y: list[int], q: int) -> tuple:
+    """Inverse of a unimodular cell once slot q holds p, where inverse . p = y."""
+    if y[q] not in (1, -1):
+        raise TheoremViolation(f"placing pivot {y[q]}: the new cell is not unimodular")
+    lead = inverse[q] if y[q] == 1 else tuple(-a for a in inverse[q])
+    return tuple(
+        lead if x == q else row if not yx else tuple([a - yx * b for a, b in zip(row, lead)])
+        for x, (row, yx) in enumerate(zip(inverse, y))
+    )
 
 
 def ehrhart_all_dilates(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:

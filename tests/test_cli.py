@@ -232,6 +232,19 @@ def test_budget_exit_code(tmp_path, capsys):
     assert code == EXIT_BUDGET and "budget" in err
 
 
+@pytest.mark.parametrize("method", ["visibility", "auto"])
+def test_negative_budget_is_usage_error(tmp_path, capsys, method):
+    path = graph_file(tmp_path, "0 1\n")
+    with pytest.raises(SystemExit) as exit_:
+        run(["hstar", path, "--method", method, "--budget-nodes", "-5"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == EXIT_PARSE and captured.out == ""
+    assert "argument --budget-nodes: must be 0 or more, got -5" in captured.err
+    # 0 stays a valid budget: visibility spends nodes, blocks on an edge none
+    code, _, err = invoke(capsys, "hstar", path, "--method", method, "--budget-nodes", "0")
+    assert code == (EXIT_BUDGET if method == "visibility" else EXIT_OK)
+
+
 def test_facets_budget_exit_code(tmp_path, capsys):
     path = graph_file(tmp_path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     code, out, err = invoke(capsys, "facets", path, "--budget-nodes", "5")

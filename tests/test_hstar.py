@@ -211,7 +211,7 @@ def test_anchor_retry_when_base_point_hits_a_facet_hyperplane(monkeypatch):
     scale = math.lcm(*(c.denominator for c in on_hyperplane))
     ints = [int(c * scale) for c in on_hyperplane]
     dropped = Budget(None)
-    for cell, _ in placing_pass(g, budget=dropped):
+    for cell, _, _ in placing_pass(g, budget=dropped):
         if 0 in barycentric([points[i] for i in cell], ints):
             break
     else:
@@ -284,6 +284,16 @@ def test_ehrhart_examples():
 
 
 K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("g, nodes", [(theta_graph(2, 2, 2), 33_410), (K4, 21_187)],
+                         ids=["theta222", "K4"])
+def test_build_anchor_nodes(g, nodes):
+    # one placing pass: a node per cell made and per later point tested
+    # against a new facet
+    bud = Budget(None)
+    build_anchor(g, budget=bud)
+    assert bud.used == nodes
 
 
 def test_ehrhart_matches_all_dilates_oracle():

@@ -8,6 +8,7 @@ as resident memory that climbs with every call.
 """
 
 import gc
+from itertools import islice
 
 import pytest
 
@@ -24,7 +25,7 @@ from cosmopoly.multigraph import (
 )
 from cosmopoly.polytope import count_dilate_points
 from cosmopoly.sweep import verify_graph
-from cosmopoly.triangulation import build_triangulation
+from cosmopoly.triangulation import build_triangulation, placing_pass
 
 from oracles import point_on_a_cell_facet_hyperplane
 
@@ -45,6 +46,14 @@ def anchor_after_a_dropped_pass():
     assert anchor.perturbation_index == 1
 
 
+def anchored_pass(cells=None):
+    """The first ``cells`` cells of a placing pass that carries an anchor
+    column, all of them when None; a pass cut short is dropped part way."""
+    g = theta_graph(1, 1, 2)
+    anchor = tuple(range(1, g.vertex_count + len(g.edges) + 1))
+    return list(islice(placing_pass(g, anchor=anchor), cells))
+
+
 CALLS = {
     "anchor_after_a_dropped_pass": anchor_after_a_dropped_pass,
     "cli.run": lambda: run(["conjecture", "theta", "--max-size", "3"]),
@@ -54,6 +63,8 @@ CALLS = {
     "hstar_ehrhart": lambda: hstar_ehrhart(triangle()),
     "hstar_ehrhart_with_interior_counts": lambda: hstar_ehrhart(multicycle((2, 1, 1))),
     "hstar_visibility": lambda: hstar_visibility(theta_graph(1, 1, 2)),
+    "placing_pass.anchored": anchored_pass,
+    "placing_pass.anchored_dropped": lambda: anchored_pass(10),
     "verify_graph": lambda: verify_graph(triangle()),
     "simple_paths": lambda: list(simple_paths(theta_graph(1, 1, 2))),
     "simple_paths_abandoned": lambda: next(simple_paths(theta_graph(1, 1, 2))),

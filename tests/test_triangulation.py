@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -14,14 +15,18 @@ from cosmopoly.errors import (
     WrongCardinality,
 )
 from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
+from cosmopoly.hstar import _perturbed_anchor
 from cosmopoly.multigraph import (
+    Multigraph,
     bundle,
     disjoint_union,
     is_connected,
     loop_graph,
     multicycle,
+    one_sum,
     path_graph,
     single_edge,
+    theta_graph,
     triangle,
 )
 from cosmopoly.polytope import (
@@ -35,12 +40,12 @@ from cosmopoly.polytope import (
 )
 from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import (
-    _pivot,
+    Packing,
     build_triangulation,
     decorated_view,
     normalized_volume,
-    placing_pass,
     sq_db_counts,
+    unpacked_placing_pass,
     validate_multicycle_structure,
 )
 
@@ -51,6 +56,7 @@ from oracles import (
     matrix_rank,
     scan_placing_pass,
     small_multigraphs,
+    tuple_placing_pass,
 )
 
 
@@ -208,7 +214,7 @@ def assert_matches_scan(g, order):
     # the same (cell, inverse) sequence as the pass that scans the boundary,
     # for fewer nodes: the boundary scans are no longer charged
     bud, scanned = Budget(None), Budget(None)
-    assert list(placing_pass(g, order, bud)) == list(scan_placing_pass(g, order, scanned))
+    assert list(unpacked_placing_pass(g, order, bud)) == list(scan_placing_pass(g, order, scanned))
     assert bud.used <= scanned.used
 
 
@@ -223,14 +229,89 @@ def test_placing_pass_matches_scan_oracle_on_random_good_orders():
         assert_matches_scan(g, order)
 
 
+K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+LOOPED = [loop_graph(3), one_sum(bundle(2), loop_graph(2)), one_sum(triangle(), loop_graph(2))]
+
+
+def base_anchor(g):
+    # the first integer anchor candidate of build_anchor
+    q = _perturbed_anchor(g, 0)
+    scale = math.lcm(*(c.denominator for c in q))
+    return [int(c * scale) for c in q]
+
+
+def assert_matches_tuple_oracle(g, order, anchors=None):
+    # the packed kernel decodes to the tuple-row pass, anchor column and all,
+    # and charges exactly its nodes
+    for anchor in anchors or ((), base_anchor(g)):
+        packed, tupled = Budget(None), Budget(None)
+        assert list(unpacked_placing_pass(g, order, packed, anchor)) == list(
+            tuple_placing_pass(g, order, tupled, anchor)
+        )
+        assert packed.used == tupled.used > 0
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_placing_pass_matches_tuple_oracle_on_sweep(seed):
+    for g in enumerate_connected_multigraphs(7):
+        assert_matches_tuple_oracle(g, default_good_order(g, seed=seed))
+
+
+def test_placing_pass_matches_tuple_oracle_on_random_good_orders():
+    for g, order in random_good_orders():
+        assert_matches_tuple_oracle(g, order)
+
+
+@pytest.mark.parametrize(
+    "g", LOOPED + [theta_graph(2, 2, 2), K4],
+    ids=["three-loops", "bundle-two-loops", "triangle-two-loops", "theta222", "K4"],
+)
+def test_placing_pass_matches_tuple_oracle(g):
+    assert_matches_tuple_oracle(g, default_good_order(g))
+
+
+@pytest.mark.parametrize(
+    "g, width", [(theta_graph(2, 2, 2), 11), (K4, 10), (theta_graph(2, 3, 3), 14)],
+    ids=["theta222", "K4", "theta233"],
+)
+def test_packing_width_is_the_proven_one(g, width):
+    # the narrowest width whose offset digits hold every digit bound D
+    packing = Packing.of(g)
+    assert packing.width == width
+    assert 2 ** (width - 2) <= packing.digit_bound < 2 ** (width - 1)
+
+
+def test_packed_entries_and_dots_within_proven_bounds():
+    # every inverse entry is at most E (Hadamard) and every row times a
+    # lattice point at most D, on the sweep and on graphs with loops
+    largest = [0, 0]
+    for g in [*enumerate_connected_multigraphs(7), *LOOPED]:
+        coords = [p.coords for p in lattice_points(g)]
+        packing = Packing.of(g)
+        for _, inverse in unpacked_placing_pass(g):
+            entries = max(abs(a) for row in inverse for a in row)
+            dots = max(abs(sum(a * c for a, c in zip(row, p))) for row in inverse for p in coords)
+            assert entries <= packing.entry_bound and dots <= packing.digit_bound
+            largest = [max(largest[0], entries), max(largest[1], dots)]
+    assert largest == [2, 2]  # the proven bounds are far from tight here
+
+
+def test_anchor_slots_widen_for_a_large_anchor():
+    g = triangle()
+    anchor = [3**40, -(2**90), 5, 7, 0, -1]
+    assert Packing.of(g).digits == 2 * 6 - 1
+    assert Packing.of(g, base_anchor(g)).digits < Packing.of(g, anchor).digits
+    assert_matches_tuple_oracle(g, default_good_order(g), [anchor])
+
+
 def test_placing_anchor_column_is_rows_times_anchor():
     rng = random.Random(11)
     cases = [(g, default_good_order(g)) for g in enumerate_connected_multigraphs(6)]
     for g, order in cases + [next(random_good_orders())]:
         m = g.vertex_count + len(g.edges)
         ints = [rng.randint(-9, 9) for _ in range(m)]
-        plain = list(placing_pass(g, order))
-        carried = list(placing_pass(g, order, anchor=ints))
+        plain = list(unpacked_placing_pass(g, order))
+        carried = list(unpacked_placing_pass(g, order, anchor=ints))
         assert [cell for cell, _ in carried] == [cell for cell, _ in plain]
         for (_, inverse), (_, with_column) in zip(plain, carried):
             assert tuple(row[:m] for row in with_column) == inverse
@@ -243,10 +324,22 @@ def test_placing_rejects_bad_order_and_non_unimodular_pivot():
     g = single_edge()
     with pytest.raises(BadTermOrder):
         build_triangulation(g, TermOrder(list(reversed(default_good_order(g).ranked))))
-    identity = ((1, 0), (0, 1))
-    assert _pivot(identity, [-1, 1], 0) == ((-1, 0), (1, 1))
+    # the identity cell of the unit vectors, pivoted on the points (-1, 1)
+    # and (2, 1) in slot 0, with and without the anchor (3, 5)
+    plain = Packing([(1, 0), (0, 1), (-1, 1), (2, 1)])
+    identity = plain.pack(((1, 0), (0, 1)))
+    assert plain.rows(plain.pivot(identity, 2, 0)) == ((-1, 0), (1, 1))
     with pytest.raises(TheoremViolation):
-        _pivot(identity, [2, 1], 0)
+        plain.pivot(identity, 3, 0)
+    # the anchor entries are the rows times the anchor
+    anchored = Packing([(1, 0), (0, 1), (-1, 1), (2, 1)], (3, 5))
+    inverse = anchored.pivot(anchored.pack(((1, 0, 3), (0, 1, 5))), 2, 0)
+    assert anchored.rows(inverse) == ((-1, 0, -3), (1, 1, 8))
+    assert anchored.negatives(inverse) == 1
+    with pytest.raises(TheoremViolation):
+        anchored.pivot(inverse, 3, 1)
+    assert anchored.negatives(anchored.pack(((1, 0, 0), (0, 1, 8)))) is None
+    assert anchored.negatives(anchored.pack(((1, 0, -1), (0, 1, -8)))) == 2
 
 
 def test_decorated_views_single_edge():
