@@ -445,8 +445,8 @@ _GRAPH_COMMANDS = {
 }
 
 
-def _node_count(text: str) -> int:
-    """A --budget-nodes value: an int, 0 or more."""
+def _count(text: str) -> int:
+    """A --budget-nodes or --max-size value: an int, 0 or more."""
     try:
         n = int(text)
     except ValueError:
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         if graph:
             p.add_argument("graph", help="graph file path, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--budget-nodes", type=_node_count, default=10_000_000, metavar="N",
+        p.add_argument("--budget-nodes", type=_count, default=10_000_000, metavar="N",
                        help="cap on search-tree nodes before aborting (default 10M)")
         p.add_argument("--cache-dir", default=None,
                        help="result cache directory (or set COSMOPOLY_CACHE)")
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture")
     p.add_argument("which", choices=["upper-bound", "statistic", "theta"])
-    p.add_argument("--max-size", type=int, default=6, metavar="N",
+    p.add_argument("--max-size", type=_count, default=6, metavar="N",
                    help="sweep bound: |V|+|E| for graph sweeps, k+l+m for theta")
     common(p, graph=False)
     return parser

@@ -269,7 +269,7 @@ def build_anchor(
         packing = Packing.of(g, ints)
         counts = [0] * len(ints)
         masks = []
-        for _, mask, inverse in placing_pass(g, order, bud, ints):
+        for _, mask, inverse in placing_pass(g, order, bud, packing):
             seen = packing.negatives(inverse)
             if seen is None:
                 break
@@ -449,7 +449,11 @@ def hstar(
 
 def statistic_polynomial(g: Multigraph, simplices: Sequence[Simplex]) -> IntPolynomial:
     """Sum over the given triangulation cells of z^(squiggly + double edges);
-    conjectured equal to h*, and provably so on multitrees and multicycles."""
+    conjectured equal to h*, and provably so on multitrees and multicycles.
+
+    Each cell is rendered by :func:`decorated_view`, which checks its
+    strokes; :func:`mask_statistic` reads the same sum off cell masks, and
+    this is its oracle."""
     counts: list[int] = []
     for s in simplices:
         sq, db = sq_db_counts(decorated_view(s, g))
@@ -457,6 +461,42 @@ def statistic_polynomial(g: Multigraph, simplices: Sequence[Simplex]) -> IntPoly
         if k >= len(counts):
             counts.extend([0] * (k - len(counts) + 1))
         counts[k] += 1
+    return IntPolynomial(counts)
+
+
+def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
+    """:func:`statistic_polynomial` of the cells given as bit masks of point
+    indices, read off the masks with no cell decoded.
+
+    The points lie in the order of :func:`lattice_points`: |V| vertex
+    z-points, then |E| each of edge z-points and t-points, then the forward
+    and the backward y-points of the non-loop edges.  Shifts and masks lift
+    a cell's edge strokes z, t, f, b into one bit per edge; f and b open a
+    zero bit at each loop, which has no y-points.  Every edge carries one or
+    two strokes, a pair being plain plus directed, iff z | t | f | b covers
+    every edge, t meets none of the others, and f and b are disjoint.  A
+    cell then has |V| + |E| points, one per white vertex and one per stroke,
+    so it has |V| - #white double edges and adds one to the coefficient of
+    z^(#t + |V| - #white).  If any cell breaks the rule, the sum is left to
+    :func:`statistic_polynomial` on the sorted cells, which raises or warns
+    as it always has.
+    """
+    nv, ne = g.vertex_count, len(g.edges)
+    ny = ne - g.loop_count
+    white, strokes, ys = (1 << nv) - 1, (1 << ne) - 1, (1 << ny) - 1
+    t_at, f_at = nv + ne, nv + 2 * ne
+    b_at = f_at + ny
+    loops = [(1 << e.id) - 1 for e in g.edges if e.is_loop]  # the edges below each loop
+    counts = [0] * (ne + 1)
+    for c in masks:
+        z, t = c >> nv & strokes, c >> t_at & strokes
+        f, b = c >> f_at & ys, c >> b_at & ys
+        for below in loops:
+            f = f & below | (f & ~below) << 1
+            b = b & below | (b & ~below) << 1
+        if (z | t | f | b) != strokes or t & (z | f | b) or f & b:
+            return statistic_polynomial(g, cells_from_masks(g, masks))
+        counts[t.bit_count() + nv - (c & white).bit_count()] += 1
     return IntPolynomial(counts)
 
 
@@ -554,7 +594,11 @@ def check_upper_bound_conjecture(g: Multigraph, h: IntPolynomial) -> ConjectureF
 def check_statistic_conjecture(
     g: Multigraph, h: IntPolynomial, simplices: Sequence[Simplex]
 ) -> ConjectureFinding:
-    stat = statistic_polynomial(g, simplices)
+    return statistic_finding(statistic_polynomial(g, simplices), h)
+
+
+def statistic_finding(stat: IntPolynomial, h: IntPolynomial) -> ConjectureFinding:
+    """The verdict on the conjecture that the statistic ``stat`` equals h*."""
     if stat == h:
         return ConjectureFinding("statistic", "HOLDS", f"statistic {stat} equals h*")
     return ConjectureFinding("statistic", "VIOLATED", f"statistic {stat} differs from h* {h}")

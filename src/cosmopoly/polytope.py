@@ -16,6 +16,7 @@ every point, so no point is ever decoded back to coordinates.
 
 from __future__ import annotations
 
+import functools
 import logging
 import operator
 from dataclasses import dataclass
@@ -74,6 +75,12 @@ def lattice_points(g: Multigraph) -> list[LatticePoint]:
     t-point (2 e_u - e_f) and the z-point survive; the count is
     |V| + 4|E| - 2 * #loops.
     """
+    return list(_lattice_points(g))
+
+
+# one call asks for the points of its graph many times over
+@functools.lru_cache(maxsize=1)
+def _lattice_points(g: Multigraph) -> tuple[LatticePoint, ...]:
     m = g.vertex_count + len(g.edges)
     off = g.vertex_count
     pts = [LatticePoint(ZVERTEX, v, _unit(m, [(v, 1)])) for v in range(g.vertex_count)]
@@ -90,7 +97,7 @@ def lattice_points(g: Multigraph) -> list[LatticePoint]:
         if e.is_loop:
             continue
         pts.append(LatticePoint(YBACKWARD, e.id, _unit(m, [(e.u, -1), (e.v, 1), (off + e.id, 1)])))
-    return pts
+    return tuple(pts)
 
 
 def point_by_name(g: Multigraph, name: str) -> LatticePoint:

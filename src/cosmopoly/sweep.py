@@ -14,11 +14,12 @@ from .hstar import (
     ConjectureFinding,
     IntPolynomial,
     build_anchor,
-    check_statistic_conjecture,
     check_structure_theorems,
     check_upper_bound_conjecture,
     hstar,
     hstar_blocks,
+    mask_statistic,
+    statistic_finding,
     theta_hstar,
 )
 from .multigraph import GraphError, Multigraph, is_connected, theta_graph
@@ -132,7 +133,9 @@ def verify_graph(
     The blocks route always runs.  Visibility runs when the lattice-point
     count permits, ehrhart when the dimension permits; a budget overrun on
     the optional routes is recorded as a skip rather than an error.  On a
-    connected graph the visibility cells also feed the statistic check.
+    connected graph the statistic check reads the masks of the visibility
+    cells (:func:`mask_statistic`), so no cell is decoded, sorted or
+    rendered unless one breaks the stroke rule.
     """
     bud = as_budget(budget)
     methods: dict[str, IntPolynomial] = {}
@@ -170,7 +173,7 @@ def verify_graph(
     report.theorem_checks = check_structure_theorems(g, h)
     report.conjectures.append(check_upper_bound_conjecture(g, h))
     if anchor is not None:
-        report.conjectures.append(check_statistic_conjecture(g, h, anchor.cells))
+        report.conjectures.append(statistic_finding(mask_statistic(g, anchor.masks), h))
     return report
 
 

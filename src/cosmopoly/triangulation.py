@@ -110,10 +110,25 @@ def build_triangulation(
 
 
 def cells_from_masks(g: Multigraph, masks: Iterable[int]) -> list[Simplex]:
-    """Cells given as bit masks of point indices, sorted by those indices."""
+    """Cells given as bit masks of point indices, sorted by those indices.
+
+    A mask's binary digits, read from bit 0 up, list its points by index.
+    Of two cells of one size, the one holding the least index the two do
+    not share sorts first, so cells sort as those digit strings do, in
+    reverse.  Each cell is then decoded by its lowest set bits.
+    """
     points = lattice_points(g)
-    cells = sorted(tuple(i for i in range(len(points)) if c >> i & 1) for c in masks)
-    return [tuple(points[i] for i in c) for c in cells]
+    digits = f"0{len(points)}b"
+
+    def cell(c: int) -> Simplex:
+        out = []
+        while c:
+            low = c & -c
+            out.append(points[low.bit_length() - 1])
+            c ^= low
+        return tuple(out)
+
+    return [cell(c) for c in sorted(masks, key=lambda c: format(c, digits)[::-1], reverse=True)]
 
 
 class Packing:
@@ -133,6 +148,7 @@ class Packing:
         return cls([p.coords for p in lattice_points(g)], anchor)
 
     def __init__(self, coords: Sequence[Sequence[int]], anchor: Sequence[int] = ()):
+        self.anchor = tuple(anchor)
         m = self.m = len(coords[0])
         norms = sorted(sum(c * c for c in p) for p in coords)
         # Hadamard: an entry of a unimodular inverse is +- an (m-1)-minor
@@ -216,7 +232,7 @@ def placing_pass(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
-    anchor: Sequence[int] = (),
+    anchor: Sequence[int] | Packing = (),
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield the cells of :func:`build_triangulation` as they are made, as
     (cell, mask, inverse): the point indices by slot, the same as a bit
@@ -226,7 +242,9 @@ def placing_pass(
     xS .. xS + m - 1, each of w bits and offset by 2^(w-1), where w covers
     Hadamard's bound on the entries.  Given an integer ``anchor`` point,
     each row also carries the row times the anchor, in a field just above
-    its entries.  :func:`unpacked_placing_pass` decodes the pass.
+    its entries.  A caller that reads the inverses passes that layout as
+    ``anchor`` instead, so that it is built once.
+    :func:`unpacked_placing_pass` decodes the pass.
 
     The first cell is found by integer (Bareiss) pivots of the points into
     unit-vector slots, on tuple rows, which keep ``inverse`` at ``det``
@@ -240,7 +258,8 @@ def placing_pass(
     if not is_good_order(order, g, bud):
         raise BadTermOrder("term order fails the goodness check on this graph")
     points = lattice_points(g)
-    pk = Packing.of(g, anchor)
+    pk = anchor if isinstance(anchor, Packing) else Packing.of(g, anchor)
+    anchor = pk.anchor
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
     m = pk.m
     # the identity, with the anchor as its last column: the rows times the anchor
@@ -305,7 +324,7 @@ def unpacked_placing_pass(
     """:func:`placing_pass` as (cell, inverse), the inverse decoded into
     integer rows, each followed by the row times the anchor when given one."""
     pk = Packing.of(g, anchor)
-    for cell, _, inverse in placing_pass(g, order, budget, anchor):
+    for cell, _, inverse in placing_pass(g, order, budget, pk):
         yield cell, pk.rows(inverse)
 
 

@@ -429,6 +429,18 @@ def test_conjecture_theta_sweep(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize("which", ["theta", "upper-bound", "statistic"])
+def test_negative_max_size_is_usage_error(capsys, which):
+    with pytest.raises(SystemExit) as exit_:
+        run(["conjecture", which, "--max-size", "-3"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == EXIT_PARSE and captured.out == ""
+    assert "argument --max-size: must be 0 or more, got -3" in captured.err
+    # 0 stays a valid bound: an empty sweep
+    code, out, _ = invoke(capsys, "conjecture", which, "--max-size", "0")
+    assert code == EXIT_OK and "0 cases, 0 violations" in out
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cosmopoly.errors import (
     Budget,
     DisconnectedGraph,
     NoMethodAvailable,
+    StructureViolation,
     TheoremViolation,
 )
 from cosmopoly.hstar import (
@@ -30,6 +33,7 @@ from cosmopoly.hstar import (
     hstar_ehrhart,
     hstar_visibility,
     lower_bound_polynomial,
+    mask_statistic,
     statistic_polynomial,
     theta_hstar,
 )
@@ -50,7 +54,13 @@ from cosmopoly.multigraph import (
 )
 from cosmopoly.polytope import count_dilate_points, dimension, lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
-from cosmopoly.triangulation import build_triangulation, placing_pass
+from cosmopoly.grobner import default_good_order
+from cosmopoly.triangulation import (
+    build_triangulation,
+    cells_from_masks,
+    decorated_view,
+    placing_pass,
+)
 
 from oracles import (
     barycentric,
@@ -233,21 +243,15 @@ def test_cells_are_sorted_only_for_the_statistic_check(monkeypatch):
     g = theta_graph(1, 1, 2)
     monkeypatch.setattr(hstar_module, "cells_from_masks", refuse)
     assert hstar_visibility(g) == hstar(g, "visibility") == theta_hstar(1, 1, 2)
-    # routes that disagree leave the statistic unchecked, so no cells are sorted
+    # the statistic check reads the cell masks, and sorts cells only if one of
+    # them breaks the stroke rule (test_mask_statistic_keeps_the_stroke_errors)
+    report = verify_graph(g)
+    (finding,) = [c for c in report.conjectures if c.name == "statistic"]
+    assert finding.status == "HOLDS"
+    # routes that disagree leave the statistic unchecked
     monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget: ONE)
     report = verify_graph(g)
     assert not report.agree and not report.conjectures
-    monkeypatch.undo()
-    cells_from_masks, sorts = hstar_module.cells_from_masks, []
-
-    def counted(*args):
-        sorts.append(args)
-        return cells_from_masks(*args)
-
-    monkeypatch.setattr(hstar_module, "cells_from_masks", counted)
-    report = verify_graph(g)
-    (finding,) = [c for c in report.conjectures if c.name == "statistic"]
-    assert finding.status == "HOLDS" and len(sorts) == 1
 
 
 def test_visibility_matches_two_pass_oracle():
@@ -433,6 +437,121 @@ def test_statistic_conjecture_on_theta():
     cells = build_triangulation(g)
     finding = check_statistic_conjecture(g, hstar_visibility(g), cells)
     assert finding.status == "HOLDS"
+
+
+# loops ahead of, between and after the other edges, so that the y-points'
+# bits are widened past each of them
+LOOPED = [
+    one_sum(loop_graph(2), theta_graph(1, 1, 2)),
+    one_sum(theta_graph(1, 1, 2), loop_graph(1), v=2),
+    Multigraph.from_pairs(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_mask_statistic_matches_rendered_cells(seed):
+    graphs = list(enumerate_connected_multigraphs(8))
+    assert len(graphs) == 93
+    for g in graphs + LOOPED:
+        anchor = build_anchor(g, default_good_order(g, seed=seed))
+        assert mask_statistic(g, anchor.masks) == statistic_polynomial(g, anchor.cells)
+
+
+def _mask(g, names):
+    return sum(1 << i for i, p in enumerate(lattice_points(g)) if p.name in names)
+
+
+def _stroke_problem(g, cell):
+    """decorated_view's complaint about a cell, None if it has none."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            decorated_view(cell, g)
+        except StructureViolation as exc:
+            return str(exc)
+    return str(caught[0].message) if caught else None
+
+
+def test_mask_stroke_rule_matches_decorated_view(monkeypatch):
+    # mask_statistic sorts the cells exactly when its bitwise rule rejects one
+    sorts = []
+
+    def counted(g, masks):
+        sorts.append(g)
+        return cells_from_masks(g, masks)
+
+    monkeypatch.setattr(hstar_module, "cells_from_masks", counted)
+    rng = random.Random(5)
+    tried = violating = 0
+    for g in list(enumerate_connected_multigraphs(7)) + LOOPED:
+        points = lattice_points(g)
+        m = g.vertex_count + len(g.edges)
+        for _ in range(60):
+            indices = sorted(rng.sample(range(len(points)), m))
+            cell = tuple(points[i] for i in indices)
+            problem = _stroke_problem(g, cell)
+            sorts.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    stat = mask_statistic(g, [sum(1 << i for i in indices)])
+                except StructureViolation:
+                    stat = None
+                else:
+                    assert stat == statistic_polynomial(g, [cell])
+            assert bool(sorts) == (problem is not None), (g, cell, problem)
+            tried += 1
+            violating += problem is not None
+    assert 0 < violating < tried
+
+
+# bad cells of a multicycle and of a path: on the triangle, edge 0 bare and
+# edge 1 plain and squiggly, then edge 1 doubly directed; on the path, edge 1 bare
+BAD_CELLS = {
+    "triangle": (
+        ("zv0", "zv1", "zv2", "ze1", "t1", "t2"),
+        ("zv0", "zv1", "zv2", "t0", "yf1", "yb1"),
+    ),
+    "path": (("zv0", "zv1", "zv2", "t0"),),
+}
+BAD_GRAPHS = {"triangle": triangle(), "path": path_graph(2)}
+
+
+def test_mask_statistic_keeps_the_stroke_errors():
+    g = BAD_GRAPHS["triangle"]
+    first, second = (_mask(g, names) for names in BAD_CELLS["triangle"])
+    message = _stroke_problem(g, cells_from_masks(g, [first])[0])
+    assert message.startswith("edge 0 carries 0 strokes")
+    # the error names the bad cell that sorts first, wherever it lies
+    with pytest.raises(StructureViolation) as exc:
+        mask_statistic(g, build_anchor(g).masks + (second, first))
+    assert str(exc.value) == message
+    # off multicycles a bad cell warns, with decorated_view's text, and counts
+    g = BAD_GRAPHS["path"]
+    (bad,) = (_mask(g, names) for names in BAD_CELLS["path"])
+    message = _stroke_problem(g, cells_from_masks(g, [bad])[0])
+    with pytest.warns(UserWarning) as caught:
+        stat = mask_statistic(g, build_anchor(g).masks + (bad,))
+    assert [str(w.message) for w in caught] == [message]
+    assert stat == ONE_PLUS_3Z**2 + poly(0, 1)  # h*, and z for the squiggly edge 0
+
+
+def test_verify_keeps_the_stroke_errors(monkeypatch):
+    real = sweep_module.build_anchor
+
+    def with_bad_cells(g, order, budget):
+        anchor = real(g, order, budget)
+        (name,) = [k for k, h in BAD_GRAPHS.items() if h == g]
+        bad = tuple(_mask(g, names) for names in BAD_CELLS[name])
+        return dataclasses.replace(anchor, masks=anchor.masks + bad)
+
+    monkeypatch.setattr(sweep_module, "build_anchor", with_bad_cells)
+    with pytest.raises(StructureViolation, match="edge 0 carries 0 strokes"):
+        verify_graph(BAD_GRAPHS["triangle"])
+    with pytest.warns(UserWarning, match="edge 1 carries 0 strokes"):
+        report = verify_graph(BAD_GRAPHS["path"])
+    (finding,) = [c for c in report.conjectures if c.name == "statistic"]
+    assert report.agree and finding.status == "VIOLATED"
 
 
 def test_theta_closed_forms():

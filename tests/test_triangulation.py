@@ -15,7 +15,7 @@ from cosmopoly.errors import (
     WrongCardinality,
 )
 from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
-from cosmopoly.hstar import _perturbed_anchor
+from cosmopoly.hstar import _perturbed_anchor, build_anchor
 from cosmopoly.multigraph import (
     Multigraph,
     bundle,
@@ -42,8 +42,10 @@ from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import (
     Packing,
     build_triangulation,
+    cells_from_masks,
     decorated_view,
     normalized_volume,
+    placing_pass,
     sq_db_counts,
     unpacked_placing_pass,
     validate_multicycle_structure,
@@ -210,6 +212,19 @@ def test_placing_matches_oracle_on_random_good_orders():
     assert cases == 92 and 0 < dependent < cases
 
 
+def test_cells_from_masks_sorts_as_the_decoded_indices():
+    # the cells of the obstruction-avoiding search are sorted by their decoded
+    # point indices too (test_placing_matches_oracle_on_sweep); here masks
+    # arrive shuffled and are decoded by testing every index
+    rng = random.Random(2)
+    for g in enumerate_connected_multigraphs(7):
+        points = lattice_points(g)
+        masks = [mask for _, mask, _ in placing_pass(g)]
+        rng.shuffle(masks)
+        by_index = sorted(tuple(i for i in range(len(points)) if c >> i & 1) for c in masks)
+        assert cells_from_masks(g, masks) == [tuple(points[i] for i in c) for c in by_index]
+
+
 def assert_matches_scan(g, order):
     # the same (cell, inverse) sequence as the pass that scans the boundary,
     # for fewer nodes: the boundary scans are no longer charged
@@ -260,6 +275,26 @@ def test_placing_pass_matches_tuple_oracle_on_sweep(seed):
 def test_placing_pass_matches_tuple_oracle_on_random_good_orders():
     for g, order in random_good_orders():
         assert_matches_tuple_oracle(g, order)
+
+
+def test_placing_pass_takes_its_packing(monkeypatch):
+    g = theta_graph(1, 1, 2)
+    anchor = base_anchor(g)
+    by_anchor, by_packing = Budget(None), Budget(None)
+    assert list(placing_pass(g, None, by_packing, Packing.of(g, anchor))) == list(
+        placing_pass(g, None, by_anchor, anchor)
+    )
+    assert by_packing.used == by_anchor.used
+    # build_anchor lays out one packing per anchor candidate, for the pass and its reads
+    built, of = [], Packing.of.__func__
+
+    def counted(cls, g, anchor=()):
+        built.append(anchor)
+        return of(cls, g, anchor)
+
+    monkeypatch.setattr(Packing, "of", classmethod(counted))
+    assert build_anchor(g).perturbation_index == 0
+    assert built == [anchor]
 
 
 @pytest.mark.parametrize(
