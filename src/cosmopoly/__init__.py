@@ -5,7 +5,6 @@ h*-polynomials by independent methods."""
 __version__ = "0.1.0"
 
 from .errors import (
-    AnchorFailure,
     BadTermOrder,
     Budget,
     BudgetExceeded,

@@ -5,8 +5,8 @@ conjecture.  Identical input and flags produce byte-identical output; the
 content-addressed cache can only change wall time, never results.
 
 Exit codes: 0 ok, 1 internal error, 2 parse or usage error (including a
-disconnected graph for a command that needs a connected one), 3 budget
-exceeded, 4 check failure.
+disconnected graph for a command that needs a connected one, and ``auto``
+refusing a graph above its caps), 3 budget exceeded, 4 check failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     DisconnectedGraph,
     GraphError,
     GraphFileError,
+    NoMethodAvailable,
     TheoremViolation,
     as_budget,
 )
@@ -183,10 +184,15 @@ def _cache_key(header: dict) -> str:
     return hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
 
 
+def _payload_digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def cache_lookup(cache_dir: str, key: str, header: dict) -> dict | None:
     """The cached payload, or None on a miss: a record that cannot be read or
-    parsed, is not a JSON object with an object payload, or whose header
-    fields differ from ``header``, the request's, is a miss."""
+    parsed, is not a JSON object with an object payload, whose header fields
+    differ from ``header``, the request's, or whose payload does not match
+    the sha256 stored with it is a miss."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,13 +202,17 @@ def cache_lookup(cache_dir: str, key: str, header: dict) -> dict | None:
     if not isinstance(record, dict) or any(record.get(k) != v for k, v in header.items()):
         return None
     payload = record.get("payload")
-    return payload if isinstance(payload, dict) else None
+    if not isinstance(payload, dict) or record.get("payload_sha256") != _payload_digest(payload):
+        return None
+    return payload
 
 
 def cache_store(cache_dir: str, key: str, header: dict, payload: dict,
                 wall_time: float) -> None:
-    """Write the record atomically; a store that fails only warns on stderr."""
-    record = {**header, "wall_time_s": wall_time, "payload": payload}
+    """Write the record, with a sha256 of its payload, atomically; a store
+    that fails only warns on stderr."""
+    record = {**header, "wall_time_s": wall_time, "payload": payload,
+              "payload_sha256": _payload_digest(payload)}
     tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -529,7 +539,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except GraphFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphError, DisconnectedGraph) as exc:
+    except (GraphError, DisconnectedGraph, NoMethodAvailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:

@@ -39,10 +39,6 @@ class TheoremViolation(CosmopolyError):
     """A proven identity failed; signals an implementation bug, not new math."""
 
 
-class AnchorFailure(CosmopolyError):
-    """No general-position anchor point found within the retry budget."""
-
-
 class BadTermOrder(CosmopolyError):
     """A term order failed the goodness check required by the triangulation."""
 

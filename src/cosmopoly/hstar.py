@@ -3,8 +3,9 @@ conjecture checkers built on them.
 
 Routes:
   * visibility - half-open decomposition of the placing triangulation
-    against an exact general-position anchor point, with visible facets
-    read off the integer cell inverses;
+    against an exact anchor point, with visible facets read off the
+    integer cell inverses and a lexicographic tie-break for an anchor on a
+    facet hyperplane, all in one placing pass;
   * ehrhart    - inversion of the low dilate counts, and by reciprocity of
     the interior counts from the codegree up, read off one sumset run;
   * blocks     - product of closed forms over the block decomposition
@@ -24,7 +25,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
-    AnchorFailure,
     Budget,
     DisconnectedGraph,
     NoMethodAvailable,
@@ -199,10 +199,12 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class AnchorPoint:
-    """Strictly positive rational point of coordinate sum 1, certified to miss
-    every cell-facet hyperplane exactly, with the cells it was certified
-    against and their visibility histogram: ``visible_counts[i]`` cells have
-    exactly i visible facets."""
+    """Strictly positive rational point of coordinate sum 1 inside the
+    polytope, with the cells of the placing triangulation and their
+    visibility histogram: ``visible_counts[i]`` cells have exactly i facets
+    visible from the anchor, a facet whose hyperplane holds it being
+    decided by the lexicographic tie-break of ``Packing.negatives``.
+    ``perturbation_index`` is always 0: the anchor is never moved."""
 
     coords: tuple[Fraction, ...]
     perturbation_index: int
@@ -224,60 +226,37 @@ def _base_anchor(g: Multigraph) -> list[Fraction]:
     return [qv] * nv + [qe] * ne
 
 
-def _perturbed_anchor(g: Multigraph, index: int) -> list[Fraction]:
-    q = _base_anchor(g)
-    if index == 0:
-        return q
-    m = len(q)
-    eps = Fraction(1, 2 ** (10 + index))
-    raw = [Fraction((-1) ** i) for i in range(m)]
-    shift = sum(raw) / m
-    return [qi + eps * (ri - shift) for qi, ri in zip(q, raw)]
-
-
-_MAX_ANCHOR_RETRIES = 32
-
-
 def build_anchor(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
 ) -> AnchorPoint:
-    """General-position anchor for half-open decomposition of the placing
+    """The anchor for the half-open decomposition of the placing
     triangulation of ``order``, with its cells and the count of cells per
-    number of visible facets.
+    number of visible facets, from one placing pass charged to ``budget``.
 
-    The base point weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
-    1/(2|E|(|V|+1)); if it hits a facet hyperplane of some cell, a
-    deterministic schedule of shrinking alternating perturbations is tried.
-    Each candidate gets one placing pass, charged to ``budget``, which reads
-    every cell's facet values at the candidate off the cell's integer
-    inverse; a candidate on a facet hyperplane drops its pass.
+    The anchor weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
+    1/(2|E|(|V|+1)).  Each cell's facet values at the anchor are read off
+    its integer inverse; one that is 0 is decided lexicographically, as at
+    the anchor moved by eps e_1 + eps^2 e_2 + ... for a small eps > 0,
+    which stays inside the polytope's cone.  So exactly one of two cells
+    sharing a facet sees it, and the decomposition holds for every anchor.
     """
-    bud = as_budget(budget)
-    for index in range(_MAX_ANCHOR_RETRIES + 1):
-        q = _perturbed_anchor(g, index)
-        if any(c <= 0 for c in q):
-            continue
-        scale = math.lcm(*(c.denominator for c in q))
-        ints = [int(c * scale) for c in q]
-        # Row j of a cell's inverse is the facet functional opposite its point
-        # p_j, 1 on p_j, and its anchor entry is y_j, the row times Q; y_j < 0
-        # iff facet j is visible from Q.  The p_j have coordinate sum 1, so
-        # the y_j sum to scale > 0 and at most len(ints) - 1 facets of a cell
-        # are visible.
-        packing = Packing.of(g, ints)
-        counts = [0] * len(ints)
-        masks = []
-        for _, mask, inverse in placing_pass(g, order, bud, packing):
-            seen = packing.negatives(inverse)
-            if seen is None:
-                break
-            counts[seen] += 1
-            masks.append(mask)
-        else:
-            return AnchorPoint(tuple(q), index, tuple(counts), g, tuple(masks))
-    raise AnchorFailure("no general-position anchor within the retry schedule")
+    q = _base_anchor(g)
+    scale = math.lcm(*(c.denominator for c in q))
+    ints = [int(c * scale) for c in q]
+    # Row j of a cell's inverse is the facet functional opposite its point
+    # p_j, 1 on p_j, and its anchor entry is y_j, the row times Q; y_j < 0
+    # iff facet j is visible from Q.  The p_j have coordinate sum 1, so
+    # the y_j sum to scale > 0, also after the tie-break's move, and at most
+    # len(ints) - 1 facets of a cell are visible.
+    packing = Packing.of(g, ints)
+    counts = [0] * len(ints)
+    masks = []
+    for _, mask, inverse in placing_pass(g, order, budget, packing):
+        counts[packing.negatives(inverse)] += 1
+        masks.append(mask)
+    return AnchorPoint(tuple(q), 0, tuple(counts), g, tuple(masks))
 
 
 def hstar_visibility(

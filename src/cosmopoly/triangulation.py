@@ -44,11 +44,14 @@ the row times Q, that is (C^-1 Q)_x, in a field of its own just above the
 row's entries, offset by half the field.  The pivots are row operations, so
 the same multiply-subtract keeps it exact, and the facets visible from Q,
 the negative anchor entries, are counted off the fields' sign bits.  An
-anchor entry is at most E times the 1-norm of Q in size, so the field and,
-in the product with a point, the entry times the point stay inside the
-slot once S grows by the digits that bound needs and three bits more: the
-product's part above the digit read then stays within a quarter of the
-offsets above it, and no slot borrows from the next.
+entry of 0, Q on the facet's hyperplane, takes the sign of the row's first
+nonzero entry: the sign at Q moved by eps e_1 + eps^2 e_2 + ..., a
+lexicographic tie-break (simulation of simplicity) under which every Q
+counts as generic.  An anchor entry is at most E times the 1-norm of Q in
+size, so the field and, in the product with a point, the entry times the
+point stay inside the slot once S grows by the digits that bound needs and
+three bits more: the product's part above the digit read then stays within
+a quarter of the offsets above it, and no slot borrows from the next.
 
 Cells are rendered back onto the graph: a vertex is white when its z-point is
 present; an edge shows as plain (z), squiggly (t), or directed (y) strokes,
@@ -72,7 +75,6 @@ from .errors import (
     as_budget,
 )
 from .grobner import TermOrder, default_good_order, is_good_order
-from .intlinalg import bareiss_determinant
 from .multigraph import Multigraph, is_connected, multicycle_layout
 from .polytope import (
     LatticePoint,
@@ -208,13 +210,24 @@ class Packing:
             )
         return tuple(entries)
 
-    def negatives(self, inverse: int) -> int | None:
-        """The number of negative anchor entries of a packed inverse, None if
-        one is 0."""
+    def negatives(self, inverse: int) -> int:
+        """The number of facets of a packed inverse's cell visible from the
+        anchor: the rows j whose (y_j, r_j1, ..., r_jm), y_j the anchor
+        entry, is lexicographically negative.
+
+        That is the sign of row j at the anchor moved by
+        eps e_1 + eps^2 e_2 + ... for a small eps > 0, so it is y_j's sign
+        unless y_j is 0, and then the sign of the row's first nonzero entry
+        (a row of an inverse is never 0).  Two cells that share a facet have
+        opposite rows for it, so exactly one of them sees it.  The sign bits
+        of the anchor fields count the entries >= 0, and those >= 1 once
+        every field is less 1; only when the counts differ is a row decoded.
+        """
         nonnegative = (inverse & self.signs).bit_count()
-        if ((inverse - self.anchor_ones) & self.signs).bit_count() != nonnegative:
-            return None  # an entry >= 0 that is not >= 1
-        return self.m - nonnegative
+        if ((inverse - self.anchor_ones) & self.signs).bit_count() == nonnegative:
+            return self.m - nonnegative
+        zero = (0,) * (self.m + 1)
+        return sum((y, *row) < zero for *row, y in self.rows(inverse))
 
     def pivot(self, inverse: int, j: int, q: int) -> int:
         """The inverse, with its anchor entries, of a unimodular cell once
@@ -243,13 +256,11 @@ def placing_pass(
     Hadamard's bound on the entries.  Given an integer ``anchor`` point,
     each row also carries the row times the anchor, in a field just above
     its entries.  A caller that reads the inverses passes that layout as
-    ``anchor`` instead, so that it is built once.
-    :func:`unpacked_placing_pass` decodes the pass.
+    ``anchor`` instead, so that it is built once, and decodes an inverse
+    with ``Packing.rows``.
 
-    The first cell is found by integer (Bareiss) pivots of the points into
-    unit-vector slots, on tuple rows, which keep ``inverse`` at ``det``
-    times the inverse of the current basis; a point with no nonzero slot
-    left is dependent."""
+    The first cell is the first basis :func:`fraction_free_basis` fills
+    from the points in placing order."""
     if not is_connected(g):
         raise DisconnectedGraph("triangulation enumeration requires a connected graph")
     bud = as_budget(budget)
@@ -263,20 +274,13 @@ def placing_pass(
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
     m = pk.m
     # the identity, with the anchor as its last column: the rows times the anchor
-    inverse = [tuple(int(i == j) for j in range(m)) + tuple(anchor[i : i + 1]) for i in range(m)]
-    det, first, rest = 1, [-1] * m, []
-    for i in placing:
-        y = [sum(a * c for a, c in zip(row, points[i].coords)) for row in inverse]
-        q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
-        if q is None:
-            rest.append(i)
-            continue
-        first[q], lead = i, inverse[q]
-        inverse = [tuple([(y[q] * a - y[x] * b) // det for a, b in zip(row, lead)])
-                   for x, row in enumerate(inverse)]
-        inverse[q], det = lead, y[q]
+    identity = [tuple(int(i == j) for j in range(m)) + tuple(anchor[i : i + 1]) for i in range(m)]
+    first, det, inverse = fraction_free_basis(identity, (points[i].coords for i in placing))
     if det not in (1, -1):
         raise TheoremViolation(f"the first cell has determinant {det}, not +-1")
+    first = [placing[k] for k in first]
+    taken = set(first)
+    rest = [i for i in placing if i not in taken]
     # conflict lists: visible[k] holds the facets (facet, cell, inverse, q),
     # omitting cell[q], that rest[k] is the first point still to come to lie
     # beyond; a facet is the mask of its points
@@ -315,17 +319,35 @@ def placing_pass(
         visible[step] = []
 
 
-def unpacked_placing_pass(
-    g: Multigraph,
-    order: TermOrder | None = None,
-    budget: Budget | int | None = None,
-    anchor: Sequence[int] = (),
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """:func:`placing_pass` as (cell, inverse), the inverse decoded into
-    integer rows, each followed by the row times the anchor when given one."""
-    pk = Packing.of(g, anchor)
-    for cell, _, inverse in placing_pass(g, order, budget, pk):
-        yield cell, pk.rows(inverse)
+def fraction_free_basis(
+    rows: Sequence[tuple[int, ...]], points: Iterable[Sequence[int]]
+) -> tuple[list[int], int, Sequence[tuple[int, ...]]]:
+    """Fill the m unit-vector slots of the identity basis with ``points``,
+    taken in turn, by integer (Bareiss) pivots, and stop once every slot is
+    filled.
+
+    ``rows`` are the identity's rows, each perhaps followed by entries that
+    the pivots carry along as row operations.  A point goes into the first
+    empty slot where its entry is nonzero; a point with none is dependent
+    on those before it and is left over.  Returns (first, det, rows):
+    ``first[q]`` indexes the point in slot q, -1 if the slot stayed empty;
+    ``det`` is the determinant of the basis, and the rows stay ``det``
+    times its inverse, so every division is exact.
+    """
+    m = len(rows)
+    det, first = 1, [-1] * m
+    for i, p in enumerate(points):
+        y = [sum(a * c for a, c in zip(row, p)) for row in rows]
+        q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
+        if q is None:
+            continue
+        first[q], lead = i, rows[q]
+        rows = [tuple([(y[q] * a - y[x] * b) // det for a, b in zip(row, lead)])
+                for x, row in enumerate(rows)]
+        rows[q], det = lead, y[q]
+        if -1 not in first:
+            break
+    return first, det, rows
 
 
 def normalized_volume(points: Iterable[LatticePoint]) -> int:
@@ -333,7 +355,9 @@ def normalized_volume(points: Iterable[LatticePoint]) -> int:
 
     The points must lie on the coordinate-sum-1 hyperplane, a lattice
     hyperplane at lattice distance 1 from the origin, so the volume is the
-    absolute determinant of their coordinates.  0 means affinely dependent.
+    absolute determinant of their coordinates, read off the basis that
+    :func:`fraction_free_basis` fills with them.  0 means affinely
+    dependent: a point is left over.
     """
     pts = list(points)
     if not pts:
@@ -344,7 +368,9 @@ def normalized_volume(points: Iterable[LatticePoint]) -> int:
     for p in pts:
         if sum(p.coords) != 1:
             raise WrongCardinality(f"{p.name} is off the coordinate-sum-1 hyperplane")
-    return abs(bareiss_determinant([p.coords for p in pts]))
+    identity = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    first, det, _ = fraction_free_basis(identity, (p.coords for p in pts))
+    return 0 if -1 in first else abs(det)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ boundary-scanning placing pass are the routes that the visibility tally
 read off the placing inverses, the IDP sumset, the placing triangulation,
 the reciprocity halves of the Ehrhart route and the conflict lists of the
 placing pass replaced, and the tuple-row placing pass is the route the
-packed-integer kernel replaced.  The visibility oracle takes only the anchor
-perturbation schedule from the library, the box counter only the lattice
-points and facets, the cell search only the lattice points and an
-obstruction set, the dilate inversion only the dilate counts, which the
-box counter checks, and the two placing passes only the lattice points and
-the goodness check of the term order.
+packed-integer kernel replaced.  The visibility oracle keeps the anchor
+perturbation schedule that the lexicographic tie-break replaced, so it
+breaks no tie, and takes only the base anchor from the library; the box
+counter takes only the lattice points and facets, the cell search only the
+lattice points and an obstruction set, the dilate inversion only the
+dilate counts, which the box counter checks, and the two placing passes
+only the lattice points and the goodness check of the term order.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from cosmopoly.errors import (
     as_budget,
 )
 from cosmopoly.grobner import Obstruction, TermOrder, default_good_order, is_good_order
-from cosmopoly.hstar import _MAX_ANCHOR_RETRIES, IntPolynomial, _perturbed_anchor
+from cosmopoly.hstar import IntPolynomial, _base_anchor
 from cosmopoly.multigraph import Multigraph, is_connected
 from cosmopoly.polytope import count_dilate_points, dimension, facet_inequalities, lattice_points
-from cosmopoly.triangulation import Simplex
+from cosmopoly.triangulation import Packing, Simplex, placing_pass
 
 
 def brute_cycle_edge_sets(g: Multigraph) -> set[frozenset[int]]:
@@ -418,6 +419,20 @@ def _tuple_pivot(inverse: tuple, y: list[int], q: int) -> tuple:
     )
 
 
+def unpacked_placing_pass(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+    anchor: Sequence[int] = (),
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The library's packed placing pass as (cell, inverse), the inverse
+    decoded into integer rows, each followed by the row times the anchor
+    when given one: what the tuple-row and scanning passes yield."""
+    pk = Packing.of(g, anchor)
+    for cell, _, inverse in placing_pass(g, order, budget, pk):
+        yield cell, pk.rows(inverse)
+
+
 def ehrhart_all_dilates(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
     """h* by alternating-sum inversion of the dilate counts N(0..|E|), one
     :func:`count_dilate_points` call per t.  Only |E| + 1 dilates are needed
@@ -535,25 +550,42 @@ def solve_rational(matrix, rhs) -> tuple[list[Fraction], int]:
     return x, det
 
 
+MAX_ANCHOR_RETRIES = 32
+
+
+def perturbed_anchor(g: Multigraph, index: int) -> list[Fraction]:
+    """Candidate ``index`` of a deterministic schedule of anchors: the base
+    anchor, then shrinking alternating perturbations of it."""
+    q = _base_anchor(g)
+    if index == 0:
+        return q
+    m = len(q)
+    eps = Fraction(1, 2 ** (10 + index))
+    raw = [Fraction((-1) ** i) for i in range(m)]
+    shift = sum(raw) / m
+    return [qi + eps * (ri - shift) for qi, ri in zip(q, raw)]
+
+
 def two_pass_visibility(g: Multigraph, simplices) -> tuple[tuple[Fraction, ...], int, list[int]]:
-    """Visibility h* by certifying an anchor over all cells, then solving
-    every cell again to count its visible facets, with rational solves.
+    """Visibility h* by certifying an anchor over all cells, then counting
+    every cell's visible facets, from one rational solve per cell.
 
     Returns (anchor coords, perturbation index, h* coefficients).  The
-    perturbation schedule is the library's: this checks the solves and the
-    counting, not the choice of candidate points.
+    anchor is the first candidate of :func:`perturbed_anchor` that lies on
+    no facet hyperplane of any cell, so no tie is ever broken.
     """
-    for index in range(_MAX_ANCHOR_RETRIES + 1):
-        q = _perturbed_anchor(g, index)
+    for index in range(MAX_ANCHOR_RETRIES + 1):
+        q = perturbed_anchor(g, index)
         if any(c <= 0 for c in q):
             continue
         scale = lcm(*(c.denominator for c in q))
         ints = [int(c * scale) for c in q]
-        if all(all(v != 0 for v in barycentric(s, ints)) for s in simplices):
+        solved = [barycentric(s, ints) for s in simplices]
+        if all(all(v != 0 for v in y) for y in solved):
             break
     else:
         raise AssertionError("no general-position anchor within the retry schedule")
-    visible = Counter(sum(1 for v in barycentric(s, ints) if v < 0) for s in simplices)
+    visible = Counter(sum(1 for v in y if v < 0) for y in solved)
     return tuple(q), index, [visible[i] for i in range(max(visible) + 1)]
 
 
@@ -563,26 +595,41 @@ def barycentric(simplex, point) -> list[Fraction]:
     return solve_rational(matrix, point)[0]
 
 
-def point_on_a_cell_facet_hyperplane(cells, q):
-    """A strictly positive point of coordinate sum 1 on the hyperplane of
-    some cell facet, found on a segment from q towards a unit vector.
+def points_on_cell_facet_hyperplanes(
+    g: Multigraph, order: TermOrder | None, q: Sequence[Fraction]
+) -> Iterator[list[Fraction]]:
+    """Strictly positive points of coordinate sum 1, each on the hyperplane
+    of a facet of a cell of the placing triangulation of ``order``: one on
+    each segment from q towards a unit vector that such a hyperplane
+    crosses, the cells scanned from a different one for each segment.
 
-    Barycentric coordinates are linear in the point, so one that changes
-    sign along the segment vanishes at a point of it, which is strictly
-    positive with coordinate sum 1 like both ends.
+    The cells' inverses come from :func:`tuple_placing_pass`; row j of an
+    inverse gives the barycentric coordinate opposite point j, which is
+    linear in the point, so one that changes sign along the segment
+    vanishes at a point of it, strictly positive with coordinate sum 1 like
+    both ends.
     """
     m = len(q)
+    inverses = [inverse for _, inverse in tuple_placing_pass(g, order)]
     for i in range(m):
         r = [Fraction(9, 10) * (k == i) + Fraction(1, 10 * m) for k in range(m)]
         scale = lcm(*(c.denominator for c in q + r))
-        for s in cells:
-            yq = barycentric(s, [int(c * scale) for c in q])
-            yr = barycentric(s, [int(c * scale) for c in r])
-            for a, b in zip(yq, yr):
-                if a * b < 0:
-                    lam = a / (a - b)
-                    return [(1 - lam) * x + lam * y for x, y in zip(q, r)]
-    raise AssertionError("no cell facet hyperplane crosses the segments")
+        qs, rs = [int(c * scale) for c in q], [int(c * scale) for c in r]
+        start = i * len(inverses) // m
+        crossings = (
+            Fraction(a, a - b)
+            for inverse in inverses[start:] + inverses[:start]
+            for row in inverse
+            for a, b in [(_dot(row, qs), _dot(row, rs))]
+            if a * b < 0
+        )
+        lam = next(crossings, None)
+        if lam is not None:
+            yield [(1 - lam) * x + lam * y for x, y in zip(q, r)]
+
+
+def _dot(row: Sequence[int], point: Sequence[int]) -> int:
+    return sum(a * c for a, c in zip(row, point))
 
 
 def box_count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int | None) -> int:

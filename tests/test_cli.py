@@ -11,6 +11,7 @@ from cosmopoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARSE,
+    _GRAPH_COMMANDS,
     parse_graph_text,
     run,
     write_graph_text,
@@ -221,6 +222,19 @@ def test_disconnected_graph_is_usage_error(tmp_path, capsys, command, message):
     assert err == f"error: {message} requires a connected graph\n"
 
 
+@pytest.mark.parametrize("command", ["hstar", "volume"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+def test_auto_above_the_point_cap_is_usage_error(tmp_path, capsys, command, flags):
+    # K6 has 66 lattice points, above the cap of 64, and no closed form
+    k6 = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+    code, out, err = invoke(capsys, command, graph_file(tmp_path, k6), *flags)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (
+        "error: graph exceeds the visibility point cap; "
+        "pass an explicit --method with a bigger --budget-nodes\n"
+    )
+
+
 def test_budget_exit_code(tmp_path, capsys):
     pairs = "\n".join(
         f"{i} {(i + 1) % 25}" for i in range(25)
@@ -344,13 +358,20 @@ def test_cache_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command", ["info", "lattice-points", "facets", "triangulate", "hstar", "volume", "verify"]
 )
-def test_cache_keyed_on_labeled_graph(tmp_path, capsys, command):
+def test_cache_keyed_on_labeled_graph(tmp_path, capsys, monkeypatch, command):
     cache = str(tmp_path / "cache")
+    outputs = {}
     for i, text in enumerate(["0 1\n1 2\n", "1 0\n2 1\n", "1 2\n0 1\n"]):
         path = graph_file(tmp_path, text, name=f"g{i}.txt")
         _, uncached, _ = invoke(capsys, command, path, "--json")
         _, cached, _ = invoke(capsys, command, path, "--json", "--cache-dir", cache)
         assert cached == uncached
+        outputs[path] = uncached
+    # each stored record, payload digest and all, is a hit: nothing is computed
+    _, renderer = _GRAPH_COMMANDS[command]
+    monkeypatch.setitem(_GRAPH_COMMANDS, command, (None, renderer))
+    for path, uncached in outputs.items():
+        assert invoke(capsys, command, path, "--json", "--cache-dir", cache)[1] == uncached
 
 
 def test_cache_dir_that_is_a_file_only_warns(tmp_path, capsys):
@@ -362,21 +383,36 @@ def test_cache_dir_that_is_a_file_only_warns(tmp_path, capsys):
     assert err.startswith("warning: result not cached: ") and err.count("\n") == 1
 
 
+def edited_payload(payload):
+    """The stored record with its header kept and its payload replaced."""
+    return lambda old: json.dumps({**json.loads(old), "payload": payload}).encode()
+
+
+HSTAR_JSON = ["hstar", "--json"]
+
+
 @pytest.mark.parametrize(
-    "record",
-    [b"[1, 2]", b'{"payload": [1, 2]}', b'{"payload": null}', b'{"payload": {}}', b"3",
-     b"\xff"],
-    ids=["list", "list-payload", "null-payload", "gutted", "number", "not-utf8"],
+    "argv, record",
+    [(HSTAR_JSON, b"[1, 2]"), (HSTAR_JSON, b'{"payload": [1, 2]}'),
+     (HSTAR_JSON, b'{"payload": null}'), (HSTAR_JSON, b'{"payload": {}}'), (HSTAR_JSON, b"3"),
+     (HSTAR_JSON, b"\xff"), (["hstar"], edited_payload({"coeffs": [1, 3]})),
+     (HSTAR_JSON, edited_payload({"coeffs": [1, 3]})),
+     (["verify"], edited_payload({"methods": {}}))],
+    ids=["list", "list-payload", "null-payload", "gutted", "number", "not-utf8",
+         "edited-payload-hstar", "edited-payload-hstar-json", "edited-payload-verify"],
 )
-def test_unusable_cache_record_is_a_miss(tmp_path, capsys, record):
+def test_unusable_cache_record_is_a_miss(tmp_path, capsys, argv, record):
     path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
     cache = tmp_path / "cache"
-    _, uncached, _ = invoke(capsys, "hstar", path, "--json", "--cache-dir", str(cache))
+    command, *flags = argv
+    _, uncached, _ = invoke(capsys, command, path, *flags, "--cache-dir", str(cache))
     (stored,) = cache.glob("*.json")
-    stored.write_bytes(record)
-    code, out, err = invoke(capsys, "hstar", path, "--json", "--cache-dir", str(cache))
+    stored.write_bytes(record(stored.read_bytes()) if callable(record) else record)
+    code, out, err = invoke(capsys, command, path, *flags, "--cache-dir", str(cache))
     assert (code, out, err) == (EXIT_OK, uncached, "")
-    assert json.loads(stored.read_text())["payload"] == json.loads(uncached)
+    # the record is stored again, whole
+    _, as_json, _ = invoke(capsys, command, path, "--json")
+    assert json.loads(stored.read_text())["payload"] == json.loads(as_json)
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])

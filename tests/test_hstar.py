@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import random
 import warnings
 from fractions import Fraction
@@ -56,16 +55,17 @@ from cosmopoly.polytope import count_dilate_points, dimension, lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
 from cosmopoly.grobner import default_good_order
 from cosmopoly.triangulation import (
+    Packing,
     build_triangulation,
     cells_from_masks,
     decorated_view,
-    placing_pass,
 )
 
 from oracles import (
     barycentric,
     ehrhart_all_dilates,
-    point_on_a_cell_facet_hyperplane,
+    perturbed_anchor,
+    points_on_cell_facet_hyperplanes,
     relabeled,
     small_multigraphs,
     two_pass_visibility,
@@ -171,12 +171,11 @@ def test_anchor_interior_of_loop_segment():
 
 
 def test_anchor_perturbation_schedule_keeps_invariants():
-    from cosmopoly.hstar import _perturbed_anchor
-
+    # the schedule of the two-pass oracle
     g = triangle()
-    base = _perturbed_anchor(g, 0)
+    base = perturbed_anchor(g, 0)
     for index in (1, 2, 5):
-        q = _perturbed_anchor(g, index)
+        q = perturbed_anchor(g, index)
         assert sum(q) == 1
         assert q != base
         assert all(c > 0 for c in q)  # tiny alternating shifts keep positivity
@@ -199,36 +198,61 @@ def _spend(call, *args) -> int:
     return bud.used
 
 
-def test_anchor_retry_when_base_point_hits_a_facet_hyperplane(monkeypatch):
+def anchored_at(monkeypatch, g, order, q, budget):
+    """build_anchor with the anchor q, and the number of cells whose ties it
+    broke: a cell decodes its rows only for that."""
+    decoded, rows = [], Packing.rows
+
+    def decode(pk, inverse):
+        decoded.append(inverse)
+        return rows(pk, inverse)
+
+    monkeypatch.setattr(hstar_module, "_base_anchor", lambda g: q)
+    monkeypatch.setattr(Packing, "rows", decode)
+    try:
+        return build_anchor(g, order, budget), len(decoded)
+    finally:
+        monkeypatch.undo()
+
+
+def test_anchor_on_a_facet_hyperplane_takes_one_pass(monkeypatch):
     g = triangle()
     cells = build_triangulation(g)
-    schedule = hstar_module._perturbed_anchor
-    on_hyperplane = point_on_a_cell_facet_hyperplane(cells, schedule(g, 0))
-    monkeypatch.setattr(
-        hstar_module,
-        "_perturbed_anchor",
-        lambda g, index: on_hyperplane if index == 0 else schedule(g, index),
-    )
+    on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, hstar_module._base_anchor(g)))
+    assert any(0 in barycentric([*s], on_hyperplane) for s in cells)
     bud = Budget(None)
-    anchor = build_anchor(g, budget=bud)
-    assert anchor.perturbation_index == 1
-    assert anchor.coords == tuple(schedule(g, 1))
+    anchor, tied = anchored_at(monkeypatch, g, None, on_hyperplane, bud)
+    assert tied > 0
+    assert (anchor.coords, anchor.perturbation_index) == (tuple(on_hyperplane), 0)
     assert list(anchor.cells) == cells
-    assert hstar_visibility(g) == hstar_closed_multicycle((1, 1, 1))
-    # two placing passes: the first is dropped at the first cell whose facet
-    # hyperplane holds the candidate, the second runs in full
-    points = lattice_points(g)
-    scale = math.lcm(*(c.denominator for c in on_hyperplane))
-    ints = [int(c * scale) for c in on_hyperplane]
-    dropped = Budget(None)
-    for cell, _, _ in placing_pass(g, budget=dropped):
-        if 0 in barycentric([points[i] for i in cell], ints):
-            break
-    else:
-        raise AssertionError("the candidate misses every facet hyperplane")
-    full = _spend(build_triangulation, g)
-    assert 0 < dropped.used < full
-    assert bud.used == dropped.used + full
+    assert IntPolynomial(anchor.visible_counts) == hstar_closed_multicycle((1, 1, 1))
+    # the tie-break decides the facets through the anchor: one placing pass
+    assert bud.used == _spend(build_triangulation, g)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_anchors_on_facet_hyperplanes_are_tie_broken(monkeypatch, seed):
+    # anchors on the facet hyperplanes of cells, one per segment from the
+    # base anchor towards a unit vector that such a hyperplane crosses: h*
+    # and the cells stay exact, in one placing pass
+    anchors = 0
+    for g in [*enumerate_connected_multigraphs(7), theta_graph(2, 2, 2)]:
+        order = default_good_order(g, seed=seed)
+        spent = Budget(None)
+        cells = build_triangulation(g, order, spent)
+        h = None
+        for q in points_on_cell_facet_hyperplanes(g, order, hstar_module._base_anchor(g)):
+            if h is None:
+                h = hstar_blocks(g)
+                assert two_pass_visibility(g, cells)[2] == list(h.coeffs)
+            bud = Budget(None)
+            anchor, tied = anchored_at(monkeypatch, g, order, q, bud)
+            assert tied > 0
+            assert IntPolynomial(anchor.visible_counts) == h
+            assert list(anchor.cells) == cells
+            assert bud.used == spent.used
+            anchors += 1
+    assert anchors > 40  # 63, 48 and 50 under seeds None, 1 and 7
 
 
 def test_visibility_one_placing_pass():

@@ -1,10 +1,21 @@
+"""The fraction-free kernel of the placing pass, ``fraction_free_basis``,
+against rational elimination, and the shape checks of the normalized
+volume read off it."""
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosmopoly.intlinalg import bareiss_determinant
+from cosmopoly.errors import WrongCardinality
+from cosmopoly.multigraph import single_edge
+from cosmopoly.polytope import point_by_name
+from cosmopoly.triangulation import fraction_free_basis, normalized_volume
 
 from oracles import solve_rational
+
+
+def identity(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 @st.composite
@@ -30,15 +41,37 @@ def test_determinant_matches_rational_oracle(matrix):
         _, det = solve_rational(matrix, [0] * len(matrix))
     except ValueError:  # singular
         det = 0
-    assert bareiss_determinant(matrix) == det
+    n, read = len(matrix), []
+
+    def points():  # the rows, then a zero point, which fills no slot
+        for row in matrix + [[0] * n]:
+            read.append(row)
+            yield row
+
+    first, basis_det, rows = fraction_free_basis(identity(n), points())
+    # a point is left over iff the matrix is singular, and the points after
+    # the last slot filled are not read
+    assert (-1 in first) == (det == 0)
+    assert len(read) == (n + 1 if det == 0 else n)
+    if det:
+        assert abs(basis_det) == abs(det)
+        # the rows are det times the inverse of the basis the points fill
+        basis = [matrix[first[q]] for q in range(n)]
+        assert [[sum(a * c for a, c in zip(row, p)) for p in basis] for row in rows] == [
+            [basis_det * x for x in unit] for unit in identity(n)
+        ]
 
 
 def test_determinant_of_empty_matrix():
-    assert bareiss_determinant([]) == 1
+    assert fraction_free_basis([], []) == ([], 1, [])
 
 
 def test_shape_errors():
-    with pytest.raises(ValueError):
-        bareiss_determinant([[1, 2]])
-    with pytest.raises(ValueError):
-        bareiss_determinant([[1, 2], [3]])
+    g = single_edge()
+    pts = lambda *ns: [point_by_name(g, n) for n in ns]
+    with pytest.raises(WrongCardinality):
+        normalized_volume([])
+    with pytest.raises(WrongCardinality):
+        normalized_volume(pts("zv0", "zv1"))
+    with pytest.raises(WrongCardinality):
+        normalized_volume(pts("zv0", "zv1", "ze0", "t0"))

@@ -27,23 +27,21 @@ from cosmopoly.polytope import count_dilate_points
 from cosmopoly.sweep import verify_graph
 from cosmopoly.triangulation import build_triangulation, placing_pass
 
-from oracles import point_on_a_cell_facet_hyperplane
+from oracles import points_on_cell_facet_hyperplanes
 
 
-def anchor_after_a_dropped_pass():
-    """build_anchor whose first candidate lies on a facet hyperplane, so that
-    its placing pass is dropped part way through."""
+def anchor_with_tie_broken_cells():
+    """build_anchor whose anchor lies on a facet hyperplane of some cells, so
+    that the tie-break decodes their rows."""
     g = triangle()
-    schedule = hstar_module._perturbed_anchor
-    on_hyperplane = point_on_a_cell_facet_hyperplane(build_triangulation(g), schedule(g, 0))
-    hstar_module._perturbed_anchor = (
-        lambda g, index: on_hyperplane if index == 0 else schedule(g, index)
-    )
+    base = hstar_module._base_anchor
+    on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base(g)))
+    hstar_module._base_anchor = lambda g: on_hyperplane
     try:
         anchor = build_anchor(g)
     finally:
-        hstar_module._perturbed_anchor = schedule
-    assert anchor.perturbation_index == 1
+        hstar_module._base_anchor = base
+    assert anchor.coords == tuple(on_hyperplane)
 
 
 def anchored_pass(cells=None):
@@ -55,7 +53,7 @@ def anchored_pass(cells=None):
 
 
 CALLS = {
-    "anchor_after_a_dropped_pass": anchor_after_a_dropped_pass,
+    "anchor_with_tie_broken_cells": anchor_with_tie_broken_cells,
     "cli.run": lambda: run(["conjecture", "theta", "--max-size", "3"]),
     "build_anchor.cells": lambda: build_anchor(theta_graph(1, 1, 2)).cells,
     "build_triangulation": lambda: build_triangulation(theta_graph(1, 1, 2)),

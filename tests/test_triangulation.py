@@ -15,7 +15,7 @@ from cosmopoly.errors import (
     WrongCardinality,
 )
 from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
-from cosmopoly.hstar import _perturbed_anchor, build_anchor
+from cosmopoly.hstar import _base_anchor, build_anchor
 from cosmopoly.multigraph import (
     Multigraph,
     bundle,
@@ -47,7 +47,6 @@ from cosmopoly.triangulation import (
     normalized_volume,
     placing_pass,
     sq_db_counts,
-    unpacked_placing_pass,
     validate_multicycle_structure,
 )
 
@@ -59,6 +58,7 @@ from oracles import (
     scan_placing_pass,
     small_multigraphs,
     tuple_placing_pass,
+    unpacked_placing_pass,
 )
 
 
@@ -249,8 +249,8 @@ LOOPED = [loop_graph(3), one_sum(bundle(2), loop_graph(2)), one_sum(triangle(), 
 
 
 def base_anchor(g):
-    # the first integer anchor candidate of build_anchor
-    q = _perturbed_anchor(g, 0)
+    # the integer anchor of build_anchor
+    q = _base_anchor(g)
     scale = math.lcm(*(c.denominator for c in q))
     return [int(c * scale) for c in q]
 
@@ -373,8 +373,21 @@ def test_placing_rejects_bad_order_and_non_unimodular_pivot():
     assert anchored.negatives(inverse) == 1
     with pytest.raises(TheoremViolation):
         anchored.pivot(inverse, 3, 1)
-    assert anchored.negatives(anchored.pack(((1, 0, 0), (0, 1, 8)))) is None
+    assert anchored.negatives(anchored.pack(((1, 0, 0), (0, 1, 8)))) == 0  # a tie, broken
     assert anchored.negatives(anchored.pack(((1, 0, -1), (0, 1, -8)))) == 2
+
+
+def test_negatives_breaks_ties_lexicographically():
+    # a 0 anchor entry counts as visible iff its row's first nonzero entry is
+    # negative: the sign at the anchor moved by eps e_1 + eps^2 e_2
+    anchored = Packing([(1, 0), (0, 1), (-1, 1), (2, 1)], (3, 5))
+    for rows, seen in [
+        (((-1, 1, 0), (0, 1, 8)), 1),
+        (((1, -1, 0), (0, 1, 8)), 0),
+        (((0, -1, 0), (1, 0, -2)), 2),
+        (((0, 1, 0), (-1, 0, 0)), 1),
+    ]:
+        assert anchored.negatives(anchored.pack(rows)) == seen
 
 
 def test_decorated_views_single_edge():
