@@ -74,7 +74,6 @@ from .hstar import (
     AnchorPoint,
     IntPolynomial,
     build_anchor,
-    check_statistic_conjecture,
     check_structure_theorems,
     check_upper_bound_conjecture,
     hstar_blocks,

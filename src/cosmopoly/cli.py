@@ -6,7 +6,10 @@ content-addressed cache can only change wall time, never results.
 
 Exit codes: 0 ok, 1 internal error, 2 parse or usage error (including a
 disconnected graph for a command that needs a connected one, and ``auto``
-refusing a graph above its caps), 3 budget exceeded, 4 check failure.
+refusing a graph above its caps), 3 budget exceeded, 4 check failure (a
+theorem check fails, or the h* routes disagree: ``verify`` not ok, or any
+ERROR case of a ``conjecture`` sweep).  A VIOLATED conjecture is a finding
+and exits 0.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ from .hstar import (
 )
 from .multigraph import Multigraph, blocks, connected_components
 from .polytope import dimension, facet_inequalities, lattice_points
-from .sweep import (
-    sweep_statistic,
-    sweep_theta,
-    sweep_upper_bound,
-    verify_graph,
-)
+from .sweep import sweep_graphs, sweep_theta, verify_graph
 from .triangulation import build_triangulation, decorated_view
 
 EXIT_OK = 0
@@ -356,7 +354,7 @@ def cmd_hstar(g: Multigraph, args) -> dict:
         "degree": h.degree,
         "codegree": dimension(g) + 1 - h.degree,
         "method": method,
-        "checks": {c.name: c.ok for c in checks},
+        "checks": dict.fromkeys(checks, True),
     }
 
 
@@ -388,9 +386,9 @@ def cmd_verify(g: Multigraph, args) -> dict:
         "methods": {name: _poly_payload(p) for name, p in report.methods.items()},
         "skipped": report.skipped,
         "agree": report.agree,
-        "theorem_checks": {c.name: c.ok for c in report.theorem_checks},
+        "theorem_checks": dict.fromkeys(report.theorem_checks, True),
         "conjectures": {c.name: c.status for c in report.conjectures},
-        "ok": report.ok,
+        "ok": report.agree,
     }
     return payload
 
@@ -404,8 +402,9 @@ def _render_verify(payload: dict) -> str:
     for name in sorted(payload["skipped"]):
         lines.append(f"{name}: skipped ({payload['skipped'][name]})")
     lines.append(f"methods agree: {payload['agree']}")
+    # a failed theorem check raises, so every check listed passed
     for name in sorted(payload["theorem_checks"]):
-        lines.append(f"theorem {name}: {'ok' if payload['theorem_checks'][name] else 'FAILED'}")
+        lines.append(f"theorem {name}: ok")
     for name in sorted(payload["conjectures"]):
         lines.append(f"conjecture {name}: {payload['conjectures'][name]}")
     lines.append("verify: " + ("ok" if payload["ok"] else "FAILED"))
@@ -413,20 +412,18 @@ def _render_verify(payload: dict) -> str:
 
 
 def cmd_conjecture(args) -> dict:
-    if args.which == "upper-bound":
-        findings = sweep_upper_bound(args.max_size, args.budget_nodes, args.order_seed)
-    elif args.which == "statistic":
-        findings = sweep_statistic(args.max_size, args.budget_nodes, args.order_seed)
-    else:
+    if args.which == "theta":
         findings = sweep_theta(args.max_size, args.budget_nodes, args.order_seed)
+    else:
+        findings = sweep_graphs(args.which, args.max_size, args.budget_nodes, args.order_seed)
     return {
         "schema_version": SCHEMA_VERSION,
         "conjecture": args.which,
         "max_size": args.max_size,
         "findings": [
-            {"label": f.label, "status": f.status, "detail": f.detail} for f in findings
+            {"label": label, "status": f.status, "detail": f.detail} for label, f in findings
         ],
-        "violations": sum(1 for f in findings if f.status == "VIOLATED"),
+        "violations": sum(1 for _, f in findings if f.status == "VIOLATED"),
     }
 
 
@@ -517,7 +514,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.command == "conjecture":
             payload = cmd_conjecture(args)
             renderer = _render_conjecture
-            exit_code = EXIT_OK
+            failed = any(f["status"] == "ERROR" for f in payload["findings"])
         else:
             g = load_graph(args.graph)
             handler, renderer = _GRAPH_COMMANDS[args.command]
@@ -533,9 +530,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 payload = handler(g, args)
                 if cache_dir:
                     cache_store(cache_dir, key, header, payload, time.monotonic() - started)
-            exit_code = EXIT_OK
-            if args.command == "verify" and not payload["ok"]:
-                exit_code = EXIT_CHECK
+            failed = args.command == "verify" and not payload["ok"]
     except GraphFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -552,6 +547,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
+    exit_code = EXIT_CHECK if failed else EXIT_OK
     if args.json or renderer is None:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:

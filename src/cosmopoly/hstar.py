@@ -484,16 +484,9 @@ def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class ConjectureFinding:
     name: str
-    status: str  # "HOLDS" or "VIOLATED"
+    status: str  # "HOLDS" or "VIOLATED"; a sweep adds "SKIPPED" and "ERROR"
     detail: str
 
 
@@ -508,57 +501,50 @@ def check_structure_theorems(
     g: Multigraph,
     h: IntPolynomial,
     codegree_budget: Budget | int | None = None,
-) -> list[CheckResult]:
+) -> list[str]:
     """Assert the proven facts about h*: degree |E|, linear coefficient
     3|E| - 2#loops, the coefficientwise lower bound with its equality
     characterization, palindromicity exactly for all-loop graphs, and, only
     when ``codegree_budget`` is given, codegree |V| via interior-point
     counts.  No CLI command passes one, so ``verify`` never runs that check.
 
-    Raises TheoremViolation on any failure; that means a bug, not new math.
+    Returns the names of the checks run.  Raises TheoremViolation on any
+    failure; that means a bug, not new math.
     """
-    results = []
     ne = len(g.edges)
     loops = g.loop_count
-
-    results.append(
-        CheckResult("degree", h.degree == ne, f"deg h* = {h.degree}, |E| = {ne}")
-    )
     expected_h1 = 3 * ne - 2 * loops
-    results.append(
-        CheckResult(
+    lb = lower_bound_polynomial(g)
+    loose = all(b.tag in (LOOP, SINGLE_EDGE) for b in blocks(g))
+    all_loops = loops == ne
+    checks = [
+        ("degree", h.degree == ne, f"deg h* = {h.degree}, |E| = {ne}"),
+        (
             "linear-coefficient",
             h.coefficient(1) == expected_h1,
             f"h*_1 = {h.coefficient(1)}, 3|E| - 2#loops = {expected_h1}",
-        )
-    )
-    lb = lower_bound_polynomial(g)
-    loose = all(b.tag in (LOOP, SINGLE_EDGE) for b in blocks(g))
-    results.append(CheckResult("lower-bound", lb.leq(h), f"{lb} vs {h}"))
-    results.append(
-        CheckResult(
+        ),
+        ("lower-bound", lb.leq(h), f"{lb} vs {h}"),
+        (
             "lower-bound-equality",
             (lb == h) == loose,
             f"equality {lb == h}, all blocks loops/bridges {loose}",
-        )
-    )
-    all_loops = loops == ne
-    results.append(
-        CheckResult(
+        ),
+        (
             "palindromic-iff-all-loops",
             h.is_palindromic() == all_loops,
             f"palindromic {h.is_palindromic()}, all loops {all_loops}",
-        )
-    )
+        ),
+    ]
     if codegree_budget is not None and is_connected(g):
         nv = g.vertex_count
         _, interior = zip(*_sumsets(g, nv, codegree_budget, interior=True))
         ok = interior[nv] > 0 and not any(interior[1:nv])
-        results.append(CheckResult("codegree", ok, f"codegree equals |V| = {nv}"))
-    failures = [r for r in results if not r.ok]
+        checks.append(("codegree", ok, f"codegree equals |V| = {nv}"))
+    failures = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
     if failures:
-        raise TheoremViolation("; ".join(f"{r.name}: {r.detail}" for r in failures))
-    return results
+        raise TheoremViolation("; ".join(failures))
+    return [name for name, _, _ in checks]
 
 
 def check_upper_bound_conjecture(g: Multigraph, h: IntPolynomial) -> ConjectureFinding:
@@ -568,12 +554,6 @@ def check_upper_bound_conjecture(g: Multigraph, h: IntPolynomial) -> ConjectureF
     if h.leq(bound):
         return ConjectureFinding("upper-bound", "HOLDS", f"{h} <= {bound}")
     return ConjectureFinding("upper-bound", "VIOLATED", f"{h} exceeds {bound}")
-
-
-def check_statistic_conjecture(
-    g: Multigraph, h: IntPolynomial, simplices: Sequence[Simplex]
-) -> ConjectureFinding:
-    return statistic_finding(statistic_polynomial(g, simplices), h)
 
 
 def statistic_finding(stat: IntPolynomial, h: IntPolynomial) -> ConjectureFinding:

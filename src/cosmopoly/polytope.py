@@ -17,15 +17,12 @@ every point, so no point is ever decoded back to coordinates.
 from __future__ import annotations
 
 import functools
-import logging
 import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import Budget, DisconnectedGraph, as_budget
 from .multigraph import Multigraph, connected_subgraphs, is_connected
-
-log = logging.getLogger(__name__)
 
 ZVERTEX = "zv"
 ZEDGE = "ze"
@@ -128,14 +125,14 @@ class FacetInequality:
 def facet_inequalities(g: Multigraph, budget: Budget | int | None = None) -> list[FacetInequality]:
     """Facets of the polytope, one per non-empty connected subgraph.
 
-    Distinct subgraphs yielding the same normal are deduplicated (first
-    witness wins) and logged, although no collision is known to occur.
+    Distinct subgraphs give distinct normals: a normal gives back the
+    subgraph's vertices as those with c_v = 1, and its edges as the edges
+    between them with c_e = 0 (any other such edge has c_e = 2).
     """
     if not is_connected(g):
         raise DisconnectedGraph("facet description requires a connected graph")
     m = g.vertex_count + len(g.edges)
     off = g.vertex_count
-    seen: dict[tuple[int, ...], FacetInequality] = {}
     out = []
     for vset, eset in connected_subgraphs(g, budget):
         inside_v = set(vset)
@@ -146,17 +143,7 @@ def facet_inequalities(g: Multigraph, budget: Budget | int | None = None) -> lis
         for e in g.edges:
             if e.id not in inside_e:
                 normal[off + e.id] = (e.u in inside_v) + (e.v in inside_v)
-        key = tuple(normal)
-        if key in seen:
-            log.warning(
-                "duplicate facet normal from subgraphs %s and %s",
-                (seen[key].subgraph_vertices, seen[key].subgraph_edges),
-                (vset, eset),
-            )
-            continue
-        ineq = FacetInequality(vset, eset, key)
-        seen[key] = ineq
-        out.append(ineq)
+        out.append(FacetInequality(vset, eset, tuple(normal)))
     return out
 
 

@@ -10,7 +10,6 @@ from .errors import Budget, BudgetExceeded, as_budget
 from .grobner import default_good_order
 from .hstar import (
     VISIBILITY_POINT_CAP,
-    CheckResult,
     ConjectureFinding,
     IntPolynomial,
     build_anchor,
@@ -99,25 +98,14 @@ def enumerate_connected_multigraphs(max_size: int) -> Iterator[Multigraph]:
 
 @dataclass
 class VerifyReport:
-    """Cross-method h* comparison plus the theorem and conjecture verdicts."""
+    """Cross-method h* comparison and, when the routes agree, the names of
+    the theorem checks run and the conjecture verdicts."""
 
-    graph_pairs: tuple[tuple[int, int], ...]
     methods: dict[str, IntPolynomial]
     skipped: dict[str, str]
     agree: bool
-    theorem_checks: list[CheckResult] = field(default_factory=list)
+    theorem_checks: list[str] = field(default_factory=list)
     conjectures: list[ConjectureFinding] = field(default_factory=list)
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and self.agree and all(c.ok for c in self.theorem_checks)
-
-    def hstar(self) -> IntPolynomial:
-        for name in ("visibility", "ehrhart", "blocks"):
-            if name in self.methods:
-                return self.methods[name]
-        raise RuntimeError("no method produced a result")
 
 
 VERIFY_EHRHART_DIM_CAP = 8
@@ -165,11 +153,11 @@ def verify_graph(
 
     polys = list(methods.values())
     agree = all(p == polys[0] for p in polys)
-    report = VerifyReport(g.edge_pairs(), methods, skipped, agree)
+    report = VerifyReport(methods, skipped, agree)
     if not agree:
         return report
 
-    h = report.hstar()
+    h = methods["blocks"]
     report.theorem_checks = check_structure_theorems(g, h)
     report.conjectures.append(check_upper_bound_conjecture(g, h))
     if anchor is not None:
@@ -181,44 +169,39 @@ def verify_graph(
 # Conjecture sweeps (used by the CLI)
 
 
-@dataclass(frozen=True)
-class SweepFinding:
-    label: str
-    status: str
-    detail: str
+def sweep_graphs(
+    which: str,
+    max_size: int,
+    budget: Budget | int | None = None,
+    order_seed: int | None = None,
+) -> list[tuple[str, ConjectureFinding]]:
+    """The ``which`` finding ("upper-bound" or "statistic") of
+    :func:`verify_graph` on every connected multigraph with |V| + |E| <=
+    ``max_size``, labelled by its edge pairs.
 
-
-def sweep_upper_bound(
-    max_size: int, budget: Budget | int | None = None, order_seed: int | None = None
-) -> list[SweepFinding]:
+    A graph whose h* routes disagree is an ERROR; one that agrees but has no
+    such finding (the statistic needs a visibility run) is SKIPPED.  An int
+    ``budget`` caps each graph on its own.
+    """
+    if which not in ("upper-bound", "statistic"):
+        raise ValueError(f"unknown graph sweep {which!r}")
     out = []
     for g in enumerate_connected_multigraphs(max_size):
         report = verify_graph(g, budget=budget, order_seed=order_seed)
-        if not report.ok:
-            out.append(SweepFinding(str(g.edge_pairs()), "ERROR", "method disagreement"))
-            continue
-        finding = next(c for c in report.conjectures if c.name == "upper-bound")
-        out.append(SweepFinding(str(g.edge_pairs()), finding.status, finding.detail))
-    return out
-
-
-def sweep_statistic(
-    max_size: int, budget: Budget | int | None = None, order_seed: int | None = None
-) -> list[SweepFinding]:
-    out = []
-    for g in enumerate_connected_multigraphs(max_size):
-        report = verify_graph(g, budget=budget, order_seed=order_seed)
-        finding = next((c for c in report.conjectures if c.name == "statistic"), None)
-        if finding is None:
-            out.append(SweepFinding(str(g.edge_pairs()), "SKIPPED", "no triangulation run"))
+        if not report.agree:
+            finding = ConjectureFinding(which, "ERROR", "method disagreement")
         else:
-            out.append(SweepFinding(str(g.edge_pairs()), finding.status, finding.detail))
+            finding = next(
+                (c for c in report.conjectures if c.name == which),
+                ConjectureFinding(which, "SKIPPED", "no triangulation run"),
+            )
+        out.append((str(g.edge_pairs()), finding))
     return out
 
 
 def sweep_theta(
     max_total: int, budget: Budget | int | None = None, order_seed: int | None = None
-) -> list[SweepFinding]:
+) -> list[tuple[str, ConjectureFinding]]:
     """Compare the closed theta formula against a computed h* for every
     k <= l <= m with k + l + m <= max_total."""
     out = []
@@ -232,14 +215,10 @@ def sweep_theta(
                 try:
                     actual = hstar(g, "visibility", budget, order_seed)
                 except BudgetExceeded as exc:
-                    out.append(SweepFinding(f"theta({k},{l},{m})", "SKIPPED", str(exc)))
-                    continue
-                status = "HOLDS" if predicted == actual else "VIOLATED"
-                out.append(
-                    SweepFinding(
-                        f"theta({k},{l},{m})",
-                        status,
-                        f"formula {predicted}, computed {actual}",
-                    )
-                )
+                    finding = ConjectureFinding("theta", "SKIPPED", str(exc))
+                else:
+                    status = "HOLDS" if predicted == actual else "VIOLATED"
+                    detail = f"formula {predicted}, computed {actual}"
+                    finding = ConjectureFinding("theta", status, detail)
+                out.append((f"theta({k},{l},{m})", finding))
     return out

@@ -8,7 +8,6 @@ from cosmopoly.hstar import (
     ONE_PLUS_3Z,
     ONE_PLUS_Z,
     build_anchor,
-    check_statistic_conjecture,
     check_structure_theorems,
     check_upper_bound_conjecture,
     hstar_blocks,
@@ -17,6 +16,7 @@ from cosmopoly.hstar import (
     hstar,
     hstar_ehrhart,
     hstar_visibility,
+    statistic_finding,
     statistic_polynomial,
     theta_hstar,
 )
@@ -167,7 +167,7 @@ def test_criterion_8_structure_sweep():
         check_structure_theorems(g, h)  # raises on degree/h1/bound/equality failure
         ok = ok and check_upper_bound_conjecture(g, h).status == "HOLDS"
         verified = verify_graph(g)
-        ok = ok and verified.ok and not verified.skipped
+        ok = ok and verified.agree and not verified.skipped
         ok = ok and {"blocks", "visibility", "ehrhart"} <= set(verified.methods)
         checked += 1
     ok = ok and checked == 93
@@ -186,8 +186,8 @@ def test_criterion_9_theta_consistency():
     ok = ok and len(lattice_points(k23)) == 29 and dimension(k23) == 10
     cells = build_triangulation(k23)
     ok = ok and len(cells) == 3456
-    ok = ok and check_statistic_conjecture(
-        k23, hstar_visibility(k23), cells
+    ok = ok and statistic_finding(
+        statistic_polynomial(k23, cells), hstar_visibility(k23)
     ).status in ("HOLDS", "VIOLATED")  # reported either way, computed exactly
     report(9, ok, "theta identities; K_{2,3} triangulation has 3456 cells", t0)
 

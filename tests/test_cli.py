@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import cosmopoly.grobner as grobner
+import cosmopoly.sweep as sweep_module
 from cosmopoly.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK,
     EXIT_OK,
     EXIT_PARSE,
     _GRAPH_COMMANDS,
@@ -18,7 +20,9 @@ from cosmopoly.cli import (
 )
 from cosmopoly.errors import Budget, GraphFileError
 from cosmopoly.grobner import default_good_order
+from cosmopoly.hstar import ONE
 from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
+from cosmopoly.sweep import enumerate_connected_multigraphs, sweep_graphs, verify_graph
 from cosmopoly.triangulation import build_triangulation
 
 
@@ -457,6 +461,54 @@ def test_conjecture_statistic_sweep(capsys):
     assert code == EXIT_OK
     assert payload["violations"] == 0
     assert all(f["status"] in ("HOLDS", "SKIPPED") for f in payload["findings"])
+
+
+@pytest.mark.parametrize("which", ["upper-bound", "statistic"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_graph_sweep_with_disagreeing_routes_exits_check(capsys, monkeypatch, which, as_json):
+    monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget: ONE)
+    code, out, _ = invoke(
+        capsys, "conjecture", which, "--max-size", "4", *(["--json"] if as_json else [])
+    )
+    n = len(list(enumerate_connected_multigraphs(4)))
+    assert code == EXIT_CHECK
+    if as_json:
+        findings = json.loads(out)["findings"]
+        assert len(findings) == n
+        assert {(f["status"], f["detail"]) for f in findings} == {("ERROR", "method disagreement")}
+    else:
+        *cases, summary = out.splitlines()
+        assert len(cases) == n and all(line.startswith("ERROR ") for line in cases)
+        assert summary == f"{which}: {n} cases, 0 violations"
+
+
+def test_statistic_sweep_skips_only_graphs_without_a_triangulation(capsys):
+    # one node runs the closed forms but no placing pass
+    code, out, _ = invoke(capsys, "conjecture", "statistic", "--max-size", "4",
+                          "--budget-nodes", "1", "--json")
+    assert code == EXIT_OK
+    findings = json.loads(out)["findings"]
+    assert {(f["status"], f["detail"]) for f in findings} == {("SKIPPED", "no triangulation run")}
+    code, out, _ = invoke(capsys, "conjecture", "upper-bound", "--max-size", "4",
+                          "--budget-nodes", "1", "--json")
+    assert code == EXIT_OK
+    assert {f["status"] for f in json.loads(out)["findings"]} == {"HOLDS"}
+
+
+def test_sweep_budget_caps_each_graph():
+    spent = []
+    for g in enumerate_connected_multigraphs(5):
+        budget = Budget(None)
+        verify_graph(g, budget)
+        spent.append(budget.used)
+    assert sum(spent) > max(spent)
+    findings = sweep_graphs("statistic", 5, max(spent))
+    assert {f.status for _, f in findings} == {"HOLDS"}
+
+
+def test_sweep_graphs_rejects_an_unknown_conjecture():
+    with pytest.raises(ValueError, match="unknown graph sweep 'theta'"):
+        sweep_graphs("theta", 3)
 
 
 def test_conjecture_theta_sweep(capsys):

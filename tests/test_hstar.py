@@ -21,7 +21,6 @@ from cosmopoly.hstar import (
     ONE_PLUS_3Z,
     ONE_PLUS_Z,
     build_anchor,
-    check_statistic_conjecture,
     check_structure_theorems,
     check_upper_bound_conjecture,
     ehrhart_count_from_hstar,
@@ -33,6 +32,7 @@ from cosmopoly.hstar import (
     hstar_visibility,
     lower_bound_polynomial,
     mask_statistic,
+    statistic_finding,
     statistic_polynomial,
     theta_hstar,
 )
@@ -459,7 +459,7 @@ def test_statistic_identity_on_multitrees_and_multicycles(g, closed):
 def test_statistic_conjecture_on_theta():
     g = theta_graph(1, 1, 2)
     cells = build_triangulation(g)
-    finding = check_statistic_conjecture(g, hstar_visibility(g), cells)
+    finding = statistic_finding(statistic_polynomial(g, cells), hstar_visibility(g))
     assert finding.status == "HOLDS"
 
 
@@ -604,14 +604,19 @@ def test_structure_checks_pass_on_corpus():
     for g in [single_edge(), loop_graph(2), path_graph(3), bundle(3), triangle(),
               multicycle((2, 1, 1)), one_sum(triangle(), triangle())]:
         h = hstar_blocks(g)
-        results = check_structure_theorems(g, h, codegree_budget=None)
-        assert all(r.ok for r in results)
+        assert check_structure_theorems(g, h, codegree_budget=None) == [
+            "degree",
+            "linear-coefficient",
+            "lower-bound",
+            "lower-bound-equality",
+            "palindromic-iff-all-loops",
+        ]
 
 
 def test_structure_checks_codegree():
     for g in [single_edge(), triangle(), multicycle((2, 1, 1))]:
-        results = check_structure_theorems(g, hstar_blocks(g), codegree_budget=100000)
-        assert any(r.name == "codegree" and r.ok for r in results)
+        names = check_structure_theorems(g, hstar_blocks(g), codegree_budget=100000)
+        assert names[-1] == "codegree"
 
 
 def test_forest_attains_lower_bound():

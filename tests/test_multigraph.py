@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -27,6 +29,8 @@ from cosmopoly.multigraph import (
     theta_graph,
     triangle,
 )
+
+from cosmopoly.sweep import _BRUTE_FORCE_VERTEX_CAP, canonical_form
 
 from oracles import (
     brute_block_partition,
@@ -197,3 +201,30 @@ def test_theta_graph_shapes():
 def test_one_sum_vertex_count():
     g = one_sum(triangle(), triangle())
     assert g.vertex_count == 5 and len(g.edges) == 6
+
+
+# A path 0-1-...-8 with its first edge doubled and a loop at 3.  Its two ends
+# differ, so the iterated degree signatures separate every vertex, and the
+# form does not depend on the labelling.
+ASYMMETRIC_NINE = Multigraph.from_pairs(
+    9, [(0, 1), (0, 1), (3, 3), *((i, i + 1) for i in range(1, 8))]
+)
+
+
+def test_canonical_form_above_the_brute_force_cap():
+    g = ASYMMETRIC_NINE
+    assert g.vertex_count > _BRUTE_FORCE_VERTEX_CAP
+    form = canonical_form(g)
+    rng = random.Random(5)
+    for _ in range(20):
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        copy = Multigraph.from_pairs(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edge_pairs()])
+        assert canonical_form(copy) == form
+    n, pairs = form
+    degrees = [0] * n
+    for u, v in pairs:
+        degrees[u] += 1
+        degrees[v] += 1
+    assert n == g.vertex_count and len(pairs) == len(g.edges)
+    assert sorted(degrees) == sorted(g.degree(v) for v in range(n))

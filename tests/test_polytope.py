@@ -86,7 +86,9 @@ def test_facets_triangle_count():
     [single_edge(), loop_graph(1), loop_graph(2), bundle(2), triangle(), multicycle((2, 1, 1))],
 )
 def test_facet_count_matches_connected_subgraphs(g):
-    assert len(facet_inequalities(g)) == len(list(connected_subgraphs(g)))
+    facets = facet_inequalities(g)
+    # one facet per connected subgraph, and no two with the same normal
+    assert len({f.normal for f in facets}) == len(facets) == len(list(connected_subgraphs(g)))
 
 
 @pytest.mark.parametrize("g", [single_edge(), loop_graph(1), bundle(2), triangle()])
