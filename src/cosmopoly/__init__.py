@@ -66,7 +66,6 @@ from .triangulation import (
     decorated_view,
     normalized_volume,
     sq_db_counts,
-    validate_multicycle_structure,
 )
 # the method dispatcher lives at cosmopoly.hstar.hstar; re-exporting it here
 # would shadow the submodule name

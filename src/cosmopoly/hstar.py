@@ -46,14 +46,7 @@ from .multigraph import (
     is_connected,
 )
 from .polytope import _sumsets, dimension, lattice_points
-from .triangulation import (
-    Packing,
-    Simplex,
-    cells_from_masks,
-    decorated_view,
-    placing_pass,
-    sq_db_counts,
-)
+from .triangulation import Simplex, cells_from_masks, decorated_view, placed, sq_db_counts
 
 
 class IntPolynomial:
@@ -233,7 +226,9 @@ def build_anchor(
 ) -> AnchorPoint:
     """The anchor for the half-open decomposition of the placing
     triangulation of ``order``, with its cells and the count of cells per
-    number of visible facets, from one placing pass charged to ``budget``.
+    number of visible facets, from one placing pass charged to ``budget``
+    (two if an inverse entry leaves the narrow width; see
+    :func:`~cosmopoly.triangulation.placed`).
 
     The anchor weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
     1/(2|E|(|V|+1)).  Each cell's facet values at the anchor are read off
@@ -250,12 +245,10 @@ def build_anchor(
     # iff facet j is visible from Q.  The p_j have coordinate sum 1, so
     # the y_j sum to scale > 0, also after the tie-break's move, and at most
     # len(ints) - 1 facets of a cell are visible.
-    packing = Packing.of(g, ints)
+    masks, visible = placed(g, order, budget, ints, lambda pk, _, inverse: pk.negatives(inverse))
     counts = [0] * len(ints)
-    masks = []
-    for _, mask, inverse in placing_pass(g, order, budget, packing):
-        counts[packing.negatives(inverse)] += 1
-        masks.append(mask)
+    for n in visible:
+        counts[n] += 1
     return AnchorPoint(tuple(q), 0, tuple(counts), g, tuple(masks))
 
 

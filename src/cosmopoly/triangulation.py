@@ -12,12 +12,18 @@ new cell C - q + p gets its integer inverse from one rank-one pivot by
 (C^-1 p)_q, which is +-1 as every cell is unimodular.
 
 Visible facets come from conflict lists (Clarkson and Shor): each new facet
-is tested against the points still to come, in placing order, and filed
-under the first one beyond it.  Until that point is placed no point lies
-beyond the facet, so it stays on the boundary, and when it is placed the
-facet is visible; the facets filed under a point are thus exactly those it
-sees, in the order they were made.  A new facet no point still to come lies
-beyond is on the boundary of the polytope; it is dropped.
+is filed under the first point still to come, in placing order, that lies
+beyond it.  Until that point is placed no point lies beyond the facet, so it
+stays on the boundary, and when it is placed the facet is visible; the
+facets filed under a point are thus exactly those it sees, in the order they
+were made.  A new facet no point still to come lies beyond is on the
+boundary of the polytope; it is dropped.  The points beyond a facet depend
+only on its facet functional, the facet's row of its cell's inverse, and
+far fewer functionals than facets turn up: 201 among the 9 247 new facets
+theta(2,2,2) files or drops.  So each functional is tested once against
+the points placed after the first cell, into a bit mask, and a facet is
+filed under the lowest bit of its functional's mask still to come.  The last point placed
+leaves no point to file a facet under, so its cells need no facet work.
 
 Each inverse is one Python int, packed as small integers side by side in
 one register (SWAR).  Row x holds its m entries in the digits
@@ -31,13 +37,20 @@ Every digit is stored offset by 2^(w-1), so it is a w-bit field that never
 borrows from its neighbours: a row, a product digit or its sign is a shift
 and a mask away.
 
-The width w is proven for each pass, not chosen.  Every cell is
-unimodular, so an entry of its inverse is +- an (m-1)-minor of lattice
-points, and by Hadamard's inequality at most E, the integer square root of
-the product of the m - 1 largest squared point norms.  A product digit sums
-entries times the coordinates of one point, so it is at most D = E times
-the largest 1-norm of a point, and w is one bit more than D needs: 11 bits
-for theta(2,2,2), 10 for K4, 14 for theta(2,3,3).
+The width w is checked, not assumed.  A pass packs narrow, at the w that
+holds one pivot from entries in the window WINDOW = [-4, 3]: with B = 4 and
+s the largest 1-norm of a point, a checked row times a point is at most Bs,
+and an entry after a pivot at most B(1 + Bs).  After every pivot one add
+and one mask of the whole inverse test that each entry is back in the
+window (Warren, *Hacker's Delight*), and the first cell's entries are
+tested before they are packed: w = 7 bits for theta(2,2,2), K4 and
+theta(2,3,3).  If an entry leaves the window, the pass stops and is placed
+again at the width Hadamard's inequality proves.  Every cell is unimodular,
+so an entry of its inverse is +- an (m-1)-minor of lattice points, at most
+E, the integer square root of the product of the m - 1 largest squared
+point norms, and a product digit is at most Es: 11 bits for theta(2,2,2),
+10 for K4, 14 for theta(2,3,3).  No graph tested so far has an inverse
+entry above 2 in size, so that fallback has not been needed.
 
 Given an integer anchor point Q, each row also carries its anchor entry,
 the row times Q, that is (C^-1 Q)_x, in a field of its own just above the
@@ -47,8 +60,8 @@ the negative anchor entries, are counted off the fields' sign bits.  An
 entry of 0, Q on the facet's hyperplane, takes the sign of the row's first
 nonzero entry: the sign at Q moved by eps e_1 + eps^2 e_2 + ..., a
 lexicographic tie-break (simulation of simplicity) under which every Q
-counts as generic.  An anchor entry is at most E times the 1-norm of Q in
-size, so the field and, in the product with a point, the entry times the
+counts as generic.  An anchor entry is at most the largest entry, B(1 + Bs)
+narrow or E proven, times the 1-norm of Q in size, so the field and, in the product with a point, the entry times the
 point stay inside the slot once S grows by the digits that bound needs and
 three bits more: the product's part above the digit read then stays within
 a quarter of the offsets above it, and no slot borrows from the next.
@@ -63,7 +76,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     Budget,
@@ -107,7 +120,7 @@ def build_triangulation(
     budget node is charged per cell made and per point still to come tested
     against a new facet."""
     # placed in full first, so that the placing state is freed before the sort
-    masks = [mask for _, mask, _ in placing_pass(g, order, budget)]
+    masks, _ = placed(g, order, budget)
     return cells_from_masks(g, masks)
 
 
@@ -133,6 +146,16 @@ def cells_from_masks(g: Multigraph, masks: Iterable[int]) -> list[Simplex]:
     return [cell(c) for c in sorted(masks, key=lambda c: format(c, digits)[::-1], reverse=True)]
 
 
+# The inverse entries a narrow packing holds, checked after every pivot: a
+# window of 2^k integers, so that one add and one mask test it.
+WINDOW = (-4, 3)
+
+
+class WidthOverflow(Exception):
+    """An inverse entry of a narrow placing pass left :data:`WINDOW`: the
+    pass must run again at Hadamard's width (see :func:`placed`)."""
+
+
 class Packing:
     """The layout that packs each cell inverse of a placing pass, with its
     anchor entries, into one int (see the module docstring), and the pivot
@@ -140,24 +163,38 @@ class Packing:
 
     It is built from the coordinates of all points the pass may place and
     the integer anchor, if any, so its width holds for every cell of the
-    pass.  Digits are stored offset by ``half``, anchor entries by
+    pass.  A narrow layout holds one pivot from entries in :data:`WINDOW`
+    and raises :class:`WidthOverflow` when an entry leaves it; the
+    ``proven`` layout holds every entry Hadamard's bound allows, and checks
+    none.  Digits are stored offset by ``half``, anchor entries by
     ``anchor_half``.
     """
 
     @classmethod
-    def of(cls, g: Multigraph, anchor: Sequence[int] = ()) -> Packing:
+    def of(cls, g: Multigraph, anchor: Sequence[int] = (), proven: bool = False) -> Packing:
         """The layout of a placing pass on ``g`` carrying ``anchor``."""
-        return cls([p.coords for p in lattice_points(g)], anchor)
+        return cls([p.coords for p in lattice_points(g)], anchor, proven)
 
-    def __init__(self, coords: Sequence[Sequence[int]], anchor: Sequence[int] = ()):
+    def __init__(
+        self, coords: Sequence[Sequence[int]], anchor: Sequence[int] = (), proven: bool = False
+    ):
         self.anchor = tuple(anchor)
         m = self.m = len(coords[0])
-        norms = sorted(sum(c * c for c in p) for p in coords)
-        # Hadamard: an entry of a unimodular inverse is +- an (m-1)-minor
-        self.entry_bound = math.isqrt(math.prod(norms[len(norms) - m + 1 :]))
-        # a digit of a row times a point sums entries times its coordinates
         spread = max(sum(map(abs, p)) for p in coords)
-        self.digit_bound = self.entry_bound * spread
+        if proven:
+            norms = sorted(sum(c * c for c in p) for p in coords)
+            # Hadamard: an entry of a unimodular inverse is +- an (m-1)-minor
+            self.entry_bound = math.isqrt(math.prod(norms[len(norms) - m + 1 :]))
+            # a digit of a row times a point sums entries times its coordinates
+            self.digit_bound = self.entry_bound * spread
+            self.window = None
+        else:
+            lo, hi = self.window = WINDOW
+            b = max(-lo, hi)
+            # a pivot adds to an entry a row times a point times an entry
+            self.entry_bound = b * (1 + b * spread)
+            # and the window test adds up to b to it
+            self.digit_bound = self.entry_bound + b
         w = self.width = self.digit_bound.bit_length() + 1
         self.digits, a = 2 * m - 1, 0
         if anchor:
@@ -171,7 +208,8 @@ class Packing:
         self.half, self.digit_mask = 1 << w - 1, (1 << w) - 1
         self.anchor_half = (1 << a) // 2  # 0 without an anchor
         self.row_mask, self.lead_mask = (1 << w * m) - 1, (1 << w * m + a) - 1
-        self.row_offset = sum(self.half << w * k for k in range(m))
+        row_ones = sum(1 << w * k for k in range(m))
+        self.row_offset = self.half * row_ones
         self.lead_offset = self.row_offset + (self.anchor_half << w * m)
         ones = sum(1 << s * x for x in range(m))
         self.offset = self.lead_offset * ones
@@ -185,11 +223,26 @@ class Packing:
         self.y_shift, self.y_mask = w * (m - 1), self.digit_mask * ones
         # the slots so read, less units[q], are C^-1 p less the unit vector e_q
         self.units = [self.half * ones + (1 << s * q) for q in range(m)]
+        # an entry e is in the window [lo, lo + 2^k) iff its digit e + half,
+        # plus -lo, is half in the bits above its k lowest: one add, one mask
+        # (all three 0 in the proven layout, where the test always holds)
+        self.window_add = self.window_mask = self.window_bits = 0
+        if self.window:
+            span = hi - lo + 1
+            assert span & span - 1 == 0, "the window must span a power of two"
+            self.window_add = -lo * row_ones * ones
+            self.window_mask = (self.digit_mask & -span) * row_ones * ones
+            self.window_bits = self.row_offset * ones
 
     def pack(self, rows: Sequence[Sequence[int]]) -> int:
         """Rows of m entries, each followed by its anchor entry if the layout
-        has an anchor."""
-        w, s = self.width, self.slot
+        has an anchor.  Raises :class:`WidthOverflow` if an entry is outside
+        a narrow layout's window."""
+        w, s, m = self.width, self.slot, self.m
+        if self.window:
+            lo, hi = self.window
+            if any(not lo <= v <= hi for row in rows for v in row[:m]):
+                raise WidthOverflow("an inverse entry to pack is outside the window")
         return self.offset + sum(
             v << s * x + w * k for x, row in enumerate(rows) for k, v in enumerate(row)
         )
@@ -231,14 +284,47 @@ class Packing:
 
     def pivot(self, inverse: int, j: int, q: int) -> int:
         """The inverse, with its anchor entries, of a unimodular cell once
-        point j takes slot q."""
+        point j takes slot q.  Raises :class:`WidthOverflow` if an entry
+        leaves a narrow layout's window."""
         s = self.slot * q
         y = (inverse * self.points[j] - self.shifts[j]) >> self.y_shift & self.y_mask
         yq = (y >> s & self.digit_mask) - self.half
         if yq not in (1, -1):
             raise TheoremViolation(f"placing pivot {yq}: the new cell is not unimodular")
         lead = (inverse >> s & self.lead_mask) - self.lead_offset
-        return inverse - (y - self.units[q]) * (lead if yq == 1 else -lead)
+        inverse -= (y - self.units[q]) * (lead if yq == 1 else -lead)
+        if (inverse + self.window_add) & self.window_mask != self.window_bits:
+            raise WidthOverflow("a placing pivot left an inverse entry outside the window")
+        return inverse
+
+
+def placed(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+    anchor: Sequence[int] = (),
+    read: Callable[[Packing, tuple[int, ...], int], object] | None = None,
+) -> tuple[list[int], list]:
+    """The cells of :func:`placing_pass` as bit masks, in the order made,
+    and ``read(packing, cell, inverse)`` of each cell when given ``read``.
+
+    The pass runs at the narrow width; if an inverse entry leaves
+    :data:`WINDOW`, it runs again at Hadamard's width, and ``budget`` is
+    charged for both runs."""
+    bud = as_budget(budget)
+
+    def run(pk: Packing) -> tuple[list[int], list]:
+        masks, reads = [], []
+        for cell, mask, inverse in placing_pass(g, order, bud, pk):
+            masks.append(mask)
+            if read is not None:
+                reads.append(read(pk, cell, inverse))
+        return masks, reads
+
+    try:
+        return run(Packing.of(g, anchor))
+    except WidthOverflow:
+        return run(Packing.of(g, anchor, proven=True))
 
 
 def placing_pass(
@@ -252,12 +338,15 @@ def placing_pass(
     mask, and the cell's integer inverse, whose row q is the facet
     functional opposite slot q, 1 on its point.  The inverse is one int in
     the layout ``Packing.of(g, anchor)``: row x in the digits
-    xS .. xS + m - 1, each of w bits and offset by 2^(w-1), where w covers
-    Hadamard's bound on the entries.  Given an integer ``anchor`` point,
-    each row also carries the row times the anchor, in a field just above
-    its entries.  A caller that reads the inverses passes that layout as
-    ``anchor`` instead, so that it is built once, and decodes an inverse
-    with ``Packing.rows``.
+    xS .. xS + m - 1, each of w bits and offset by 2^(w-1).  Given an
+    integer ``anchor`` point, each row also carries the row times the
+    anchor, in a field just above its entries.  A caller that reads the
+    inverses passes that layout as ``anchor`` instead, so that it is built
+    once, and decodes an inverse with ``Packing.rows``.
+
+    The narrow layout raises :class:`WidthOverflow` once an entry leaves
+    :data:`WINDOW`, after yielding the cells before it; :func:`placed` then
+    places again at the proven width.
 
     The first cell is the first basis :func:`fraction_free_basis` fills
     from the points in placing order."""
@@ -291,32 +380,38 @@ def placing_pass(
     packed = [pk.points[i] for i in rest]
     slot, row_mask, row_offset = pk.slot, pk.row_mask, pk.row_offset
     sign = 1 << pk.width * m - 1  # of digit m - 1 of a row times a point: their dot product
-    for step in range(len(rest) + 1):
+    # a facet functional, as a packed row, -> the mask of the rest points beyond it
+    beyond: dict[int, int] = {}
+    for step, p in enumerate(rest):
         fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
         for cell, mask, inv, q in made:
             yield cell, mask, inv
             for x, i in enumerate(cell):
                 if x != q and fresh.pop(facet := mask ^ 1 << i, None) is None:
                     fresh[facet] = (cell, inv, x)
-        future = packed[step:]
-        tested = 0
+        left, tested = len(rest) - step, 0
         for facet, (cell, inv, x) in fresh.items():
             row = (inv >> slot * x & row_mask) - row_offset
-            for n, p in enumerate(future, step):
-                if not (row * p + row_offset) & sign:
-                    visible[n].append((facet, cell, inv, x))
-                    tested += n - step + 1
-                    break
+            ahead = beyond.get(row)
+            if ahead is None:
+                ahead = beyond[row] = sum(
+                    1 << k for k, c in enumerate(packed) if not (row * c + row_offset) & sign
+                )
+            ahead >>= step
+            if ahead:
+                n = (ahead & -ahead).bit_length()  # the points tested, the first beyond
+                visible[step + n - 1].append((facet, cell, inv, x))
+                tested += n
             else:
-                tested += len(future)
+                tested += left
         bud.spend(tested)
-        if not future:
-            break
-        p = rest[step]
         bud.spend(len(visible[step]))
         made = [(cell[:q] + (p,) + cell[q + 1 :], facet | 1 << p, pk.pivot(inv, p, q), q)
                 for facet, cell, inv, q in visible[step]]
         visible[step] = []
+    # the last point placed leaves no point to file a new facet under
+    for cell, mask, inv, _ in made:
+        yield cell, mask, inv
 
 
 def fraction_free_basis(
@@ -415,142 +510,3 @@ def sq_db_counts(d: DecoratedGraph) -> tuple[int, int]:
     sq = sum(1 for rs in d.edge_roles if SQUIGGLY in rs)
     db = sum(1 for rs in d.edge_roles if len(rs) == 2)
     return sq, db
-
-
-@dataclass(frozen=True)
-class MulticycleReport:
-    simplex_count: int
-    arc_pattern_counts: tuple[int, int]  # arcs matching pattern 1 / pattern 2
-
-
-def validate_multicycle_structure(g: Multigraph, simplices: Sequence[Simplex]) -> MulticycleReport:
-    """Check every cell of a multicycle triangulation against the structural
-    description: per multi-edge type A/B/C splits, white-to-white arc
-    patterns, and uniqueness of cells given their squiggly and oriented
-    double edges.  Raises StructureViolation with the first counterexample;
-    an edge with no stroke, three or more, or a double stroke other than
-    plain+directed is :func:`decorated_view`'s to report.
-
-    The graph must be in canonical multicycle layout (see
-    :func:`cosmopoly.multigraph.multicycle`), which ties the stored forward
-    orientation to the traversal direction the default term order encodes.
-    """
-    mult = multicycle_layout(g)
-    if mult is None:
-        raise ValueError("graph is not a multicycle in canonical layout")
-    n = g.vertex_count
-    # multi-edge i -> its edge ids in ascending order
-    groups: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        groups[e.u if (e.u + 1) % n == e.v else e.v].append(e.id)
-
-    signatures = {}
-    pattern_counts = [0, 0]
-    for s in simplices:
-        view = decorated_view(s, g)
-        white = sorted(view.white_vertices)
-        roles = view.edge_roles
-        if not white:
-            raise StructureViolation(f"cell without white node: {_names(s)}")
-
-        types: list[str] = []
-        for i in range(n):
-            types.append(_multi_edge_type(s, groups[i], roles))
-
-        k = len(white)
-        for t in range(k):
-            start = white[t]
-            end = white[(t + 1) % k]
-            arc = []  # multi-edges passed clockwise from start to end; all n if start == end
-            i = start
-            while True:
-                arc.append(i)
-                i = (i + 1) % n
-                if i == end:
-                    break
-            pattern = _check_arc(s, arc, types, groups, roles)
-            pattern_counts[pattern - 1] += 1
-
-        sig = _double_squiggly_signature(roles)
-        if sig in signatures:
-            raise StructureViolation(
-                f"cells {_names(signatures[sig])} and {_names(s)} share double/squiggly data"
-            )
-        signatures[sig] = s
-    return MulticycleReport(len(simplices), tuple(pattern_counts))
-
-
-def _names(s: Simplex) -> list[str]:
-    return [p.name for p in s]
-
-
-def _multi_edge_type(s: Simplex, edge_ids: list[int], roles: Sequence[frozenset[str]]) -> str:
-    doubles = [e for e in edge_ids if len(roles[e]) == 2]
-    if not doubles:
-        return "C"
-    if len(doubles) > 1:
-        raise StructureViolation(
-            f"multi-edge {edge_ids} has {len(doubles)} double edges in {_names(s)}"
-        )
-    j = doubles[0]
-    rs = roles[j]
-    if rs == {PLAIN, FORWARD}:
-        before, after = {SQUIGGLY, PLAIN}, {SQUIGGLY, FORWARD}
-        tag = "A"
-    else:  # plain + backward, the one other double decorated_view admits
-        before, after = {SQUIGGLY, BACKWARD}, {SQUIGGLY, PLAIN}
-        tag = "B"
-    for e in edge_ids:
-        if e == j:
-            continue
-        allowed = before if e < j else after
-        (role,) = roles[e]
-        if role not in allowed:
-            raise StructureViolation(
-                f"type {tag} multi-edge {edge_ids}: edge {e} shows {role} in {_names(s)}"
-            )
-    return tag
-
-
-def _check_arc(
-    s: Simplex,
-    arc: list[int],
-    types: list[str],
-    groups: list[list[int]],
-    roles: Sequence[frozenset[str]],
-) -> int:
-    """Arc between consecutive white nodes: [A, (A|B)*, C{bwd,sq}, B*] (pattern 1)
-    or [C{plain,sq}, B*] (pattern 2)."""
-    arc_types = [types[i] for i in arc]
-    if arc_types.count("C") != 1:
-        raise StructureViolation(
-            f"arc {arc} has {arc_types.count('C')} type-C multi-edges in {_names(s)}"
-        )
-    c_pos = arc_types.index("C")
-    c_roles = {next(iter(roles[e])) for e in groups[arc[c_pos]]}
-    if not all(t == "B" for t in arc_types[c_pos + 1 :]):
-        raise StructureViolation(f"arc {arc}: non-B multi-edge after type C in {_names(s)}")
-    if c_pos == 0:
-        if not c_roles <= {PLAIN, SQUIGGLY}:
-            raise StructureViolation(
-                f"arc {arc}: leading type-C strokes {sorted(c_roles)} in {_names(s)}"
-            )
-        return 2
-    if arc_types[0] != "A":
-        raise StructureViolation(f"arc {arc} starts with type {arc_types[0]} in {_names(s)}")
-    if not c_roles <= {BACKWARD, SQUIGGLY}:
-        raise StructureViolation(
-            f"arc {arc}: interior type-C strokes {sorted(c_roles)} in {_names(s)}"
-        )
-    return 1
-
-
-def _double_squiggly_signature(roles: Sequence[frozenset[str]]) -> frozenset:
-    sig = set()
-    for e, rs in enumerate(roles):
-        if SQUIGGLY in rs:
-            sig.add((e, SQUIGGLY))
-        if len(rs) == 2:
-            (directed,) = rs - {PLAIN}
-            sig.add((e, directed))
-    return frozenset(sig)

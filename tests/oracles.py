@@ -16,6 +16,10 @@ counter takes only the lattice points and facets, the cell search only the
 lattice points and an obstruction set, the dilate inversion only the
 dilate counts, which the box counter checks, and the two placing passes
 only the lattice points and the goodness check of the term order.
+
+The multicycle structure checker is no oracle: it tests the paper's
+structure lemma on the cells of multicycle triangulations, which no command
+needs, so it lives with the tests that run it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
@@ -33,14 +38,23 @@ from cosmopoly.errors import (
     Budget,
     CosmopolyError,
     DisconnectedGraph,
+    StructureViolation,
     TheoremViolation,
     as_budget,
 )
 from cosmopoly.grobner import Obstruction, TermOrder, default_good_order, is_good_order
 from cosmopoly.hstar import IntPolynomial, _base_anchor
-from cosmopoly.multigraph import Multigraph, is_connected
+from cosmopoly.multigraph import Multigraph, is_connected, multicycle_layout
 from cosmopoly.polytope import count_dilate_points, dimension, facet_inequalities, lattice_points
-from cosmopoly.triangulation import Packing, Simplex, placing_pass
+from cosmopoly.triangulation import (
+    BACKWARD,
+    FORWARD,
+    PLAIN,
+    SQUIGGLY,
+    Simplex,
+    decorated_view,
+    placed,
+)
 
 
 def brute_cycle_edge_sets(g: Multigraph) -> set[frozenset[int]]:
@@ -424,13 +438,152 @@ def unpacked_placing_pass(
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
     anchor: Sequence[int] = (),
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """The library's packed placing pass as (cell, inverse), the inverse
-    decoded into integer rows, each followed by the row times the anchor
-    when given one: what the tuple-row and scanning passes yield."""
-    pk = Packing.of(g, anchor)
-    for cell, _, inverse in placing_pass(g, order, budget, pk):
-        yield cell, pk.rows(inverse)
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The library's packed placing pass, at the width :func:`placed` ends
+    at, as (cell, inverse), the inverse decoded into integer rows, each
+    followed by the row times the anchor when given one: what the tuple-row
+    and scanning passes yield."""
+    _, cells = placed(g, order, budget, anchor, lambda pk, cell, inverse: (cell, pk.rows(inverse)))
+    return cells
+
+
+@dataclass(frozen=True)
+class MulticycleReport:
+    simplex_count: int
+    arc_pattern_counts: tuple[int, int]  # arcs matching pattern 1 / pattern 2
+
+
+def validate_multicycle_structure(g: Multigraph, simplices: Sequence[Simplex]) -> MulticycleReport:
+    """Check every cell of a multicycle triangulation against the structural
+    description: per multi-edge type A/B/C splits, white-to-white arc
+    patterns, and uniqueness of cells given their squiggly and oriented
+    double edges.  Raises StructureViolation with the first counterexample;
+    an edge with no stroke, three or more, or a double stroke other than
+    plain+directed is :func:`decorated_view`'s to report.
+
+    The graph must be in canonical multicycle layout (see
+    :func:`cosmopoly.multigraph.multicycle`), which ties the stored forward
+    orientation to the traversal direction the default term order encodes.
+    """
+    mult = multicycle_layout(g)
+    if mult is None:
+        raise ValueError("graph is not a multicycle in canonical layout")
+    n = g.vertex_count
+    # multi-edge i -> its edge ids in ascending order
+    groups: list[list[int]] = [[] for _ in range(n)]
+    for e in g.edges:
+        groups[e.u if (e.u + 1) % n == e.v else e.v].append(e.id)
+
+    signatures = {}
+    pattern_counts = [0, 0]
+    for s in simplices:
+        view = decorated_view(s, g)
+        white = sorted(view.white_vertices)
+        roles = view.edge_roles
+        if not white:
+            raise StructureViolation(f"cell without white node: {_names(s)}")
+
+        types: list[str] = []
+        for i in range(n):
+            types.append(_multi_edge_type(s, groups[i], roles))
+
+        k = len(white)
+        for t in range(k):
+            start = white[t]
+            end = white[(t + 1) % k]
+            arc = []  # multi-edges passed clockwise from start to end; all n if start == end
+            i = start
+            while True:
+                arc.append(i)
+                i = (i + 1) % n
+                if i == end:
+                    break
+            pattern = _check_arc(s, arc, types, groups, roles)
+            pattern_counts[pattern - 1] += 1
+
+        sig = _double_squiggly_signature(roles)
+        if sig in signatures:
+            raise StructureViolation(
+                f"cells {_names(signatures[sig])} and {_names(s)} share double/squiggly data"
+            )
+        signatures[sig] = s
+    return MulticycleReport(len(simplices), tuple(pattern_counts))
+
+
+def _names(s: Simplex) -> list[str]:
+    return [p.name for p in s]
+
+
+def _multi_edge_type(s: Simplex, edge_ids: list[int], roles: Sequence[frozenset[str]]) -> str:
+    doubles = [e for e in edge_ids if len(roles[e]) == 2]
+    if not doubles:
+        return "C"
+    if len(doubles) > 1:
+        raise StructureViolation(
+            f"multi-edge {edge_ids} has {len(doubles)} double edges in {_names(s)}"
+        )
+    j = doubles[0]
+    rs = roles[j]
+    if rs == {PLAIN, FORWARD}:
+        before, after = {SQUIGGLY, PLAIN}, {SQUIGGLY, FORWARD}
+        tag = "A"
+    else:  # plain + backward, the one other double decorated_view admits
+        before, after = {SQUIGGLY, BACKWARD}, {SQUIGGLY, PLAIN}
+        tag = "B"
+    for e in edge_ids:
+        if e == j:
+            continue
+        allowed = before if e < j else after
+        (role,) = roles[e]
+        if role not in allowed:
+            raise StructureViolation(
+                f"type {tag} multi-edge {edge_ids}: edge {e} shows {role} in {_names(s)}"
+            )
+    return tag
+
+
+def _check_arc(
+    s: Simplex,
+    arc: list[int],
+    types: list[str],
+    groups: list[list[int]],
+    roles: Sequence[frozenset[str]],
+) -> int:
+    """Arc between consecutive white nodes: [A, (A|B)*, C{bwd,sq}, B*] (pattern 1)
+    or [C{plain,sq}, B*] (pattern 2)."""
+    arc_types = [types[i] for i in arc]
+    if arc_types.count("C") != 1:
+        raise StructureViolation(
+            f"arc {arc} has {arc_types.count('C')} type-C multi-edges in {_names(s)}"
+        )
+    c_pos = arc_types.index("C")
+    c_roles = {next(iter(roles[e])) for e in groups[arc[c_pos]]}
+    if not all(t == "B" for t in arc_types[c_pos + 1 :]):
+        raise StructureViolation(f"arc {arc}: non-B multi-edge after type C in {_names(s)}")
+    if c_pos == 0:
+        if not c_roles <= {PLAIN, SQUIGGLY}:
+            raise StructureViolation(
+                f"arc {arc}: leading type-C strokes {sorted(c_roles)} in {_names(s)}"
+            )
+        return 2
+    if arc_types[0] != "A":
+        raise StructureViolation(f"arc {arc} starts with type {arc_types[0]} in {_names(s)}")
+    if not c_roles <= {BACKWARD, SQUIGGLY}:
+        raise StructureViolation(
+            f"arc {arc}: interior type-C strokes {sorted(c_roles)} in {_names(s)}"
+        )
+    return 1
+
+
+def _double_squiggly_signature(roles: Sequence[frozenset[str]]) -> frozenset:
+    sig = set()
+    for e, rs in enumerate(roles):
+        if SQUIGGLY in rs:
+            sig.add((e, SQUIGGLY))
+        if len(rs) == 2:
+            (directed,) = rs - {PLAIN}
+            sig.add((e, directed))
+    return frozenset(sig)
 
 
 def ehrhart_all_dilates(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:

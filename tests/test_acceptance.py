@@ -39,13 +39,9 @@ from cosmopoly.polytope import (
     lattice_points,
 )
 from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
-from cosmopoly.triangulation import (
-    build_triangulation,
-    normalized_volume,
-    validate_multicycle_structure,
-)
+from cosmopoly.triangulation import build_triangulation, normalized_volume
 
-from oracles import series_count
+from oracles import series_count, validate_multicycle_structure
 
 
 def report(number: int, ok: bool, message: str, started: float) -> None:

@@ -15,6 +15,7 @@ from cosmopoly.errors import (
     WrongCardinality,
 )
 from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
+from cosmopoly import triangulation
 from cosmopoly.hstar import _base_anchor, build_anchor
 from cosmopoly.multigraph import (
     Multigraph,
@@ -41,13 +42,13 @@ from cosmopoly.polytope import (
 from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import (
     Packing,
+    WidthOverflow,
     build_triangulation,
     cells_from_masks,
     decorated_view,
     normalized_volume,
     placing_pass,
     sq_db_counts,
-    validate_multicycle_structure,
 )
 
 from oracles import (
@@ -59,6 +60,7 @@ from oracles import (
     small_multigraphs,
     tuple_placing_pass,
     unpacked_placing_pass,
+    validate_multicycle_structure,
 )
 
 
@@ -288,13 +290,13 @@ def test_placing_pass_takes_its_packing(monkeypatch):
     # build_anchor lays out one packing per anchor candidate, for the pass and its reads
     built, of = [], Packing.of.__func__
 
-    def counted(cls, g, anchor=()):
-        built.append(anchor)
-        return of(cls, g, anchor)
+    def counted(cls, g, anchor=(), proven=False):
+        built.append((anchor, proven))
+        return of(cls, g, anchor, proven)
 
     monkeypatch.setattr(Packing, "of", classmethod(counted))
     assert build_anchor(g).perturbation_index == 0
-    assert built == [anchor]
+    assert built == [(anchor, False)]  # narrow, and no fallback
 
 
 @pytest.mark.parametrize(
@@ -310,25 +312,81 @@ def test_placing_pass_matches_tuple_oracle(g):
     ids=["theta222", "K4", "theta233"],
 )
 def test_packing_width_is_the_proven_one(g, width):
-    # the narrowest width whose offset digits hold every digit bound D
-    packing = Packing.of(g)
-    assert packing.width == width
-    assert 2 ** (width - 2) <= packing.digit_bound < 2 ** (width - 1)
+    # the proven layout: the narrowest width whose offset digits hold every
+    # digit bound D
+    proven = Packing.of(g, proven=True)
+    assert proven.width == width
+    assert 2 ** (width - 2) <= proven.digit_bound < 2 ** (width - 1)
+    # the narrow one holds one pivot from entries in [-4, 3], B(1 + 3B) = 52
+    # for B = 4 and points of 1-norm at most 3, and the window test's add
+    narrow = Packing.of(g)
+    assert narrow.width == 7 and narrow.entry_bound == 52
+    assert 2**5 <= narrow.digit_bound < 2**6
 
 
 def test_packed_entries_and_dots_within_proven_bounds():
-    # every inverse entry is at most E (Hadamard) and every row times a
-    # lattice point at most D, on the sweep and on graphs with loops
+    # every inverse entry is at most E (Hadamard) and in the window, and
+    # every row times a lattice point at most D, on the sweep and on graphs
+    # with loops
     largest = [0, 0]
     for g in [*enumerate_connected_multigraphs(7), *LOOPED]:
         coords = [p.coords for p in lattice_points(g)]
-        packing = Packing.of(g)
+        proven = Packing.of(g, proven=True)
         for _, inverse in unpacked_placing_pass(g):
             entries = max(abs(a) for row in inverse for a in row)
             dots = max(abs(sum(a * c for a, c in zip(row, p))) for row in inverse for p in coords)
-            assert entries <= packing.entry_bound and dots <= packing.digit_bound
+            assert entries <= proven.entry_bound and dots <= proven.digit_bound
+            assert all(-4 <= a <= 3 for row in inverse for a in row)
             largest = [max(largest[0], entries), max(largest[1], dots)]
     assert largest == [2, 2]  # the proven bounds are far from tight here
+
+
+@pytest.mark.parametrize("window", [(-1, 0), (-2, 1)], ids=["first-cell", "mid-pass"])
+def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
+    # theta(2,2,2)'s first cell has an entry 1, and the step that makes its
+    # 193rd cell an entry 2: either window sends the pass back to Hadamard's
+    # width, where the same cells, counts and inverses come out, and the
+    # budget pays both runs
+    g, order = theta_graph(2, 2, 2), default_good_order(theta_graph(2, 2, 2))
+    anchor = base_anchor(g)
+    proven, pure = Packing.of(g, anchor, proven=True), Budget(None)
+    reference = list(placing_pass(g, order, pure, proven))
+    counts = [0] * len(anchor)
+    for _, _, inverse in reference:
+        counts[proven.negatives(inverse)] += 1
+    monkeypatch.setattr(triangulation, "WINDOW", window)
+    partial, yielded = Budget(None), 0
+    with pytest.raises(WidthOverflow):
+        for _ in placing_pass(g, order, partial, Packing.of(g, anchor)):
+            yielded += 1
+    assert yielded == {(-1, 0): 0, (-2, 1): 144}[window]
+    assert (partial.used > 0) == (yielded > 0)
+    bud = Budget(None)
+    point = build_anchor(g, order, bud)
+    assert point.visible_counts == tuple(counts)
+    assert point.masks == tuple(mask for _, mask, _ in reference)
+    assert bud.used == partial.used + pure.used
+    rows = [(cell, proven.rows(inverse)) for cell, _, inverse in reference]
+    assert unpacked_placing_pass(g, order, None, anchor) == rows
+    assert rows == list(tuple_placing_pass(g, order, None, anchor))
+    assert build_triangulation(g, order) == cells_from_masks(g, point.masks)
+
+
+@pytest.mark.parametrize(
+    "g", LOOPED + [theta_graph(2, 2, 2), K4, theta_graph(2, 3, 3)],
+    ids=["three-loops", "bundle-two-loops", "triangle-two-loops", "theta222", "K4", "theta233"],
+)
+def test_narrow_width_places_without_fallback(g):
+    # the graphs the commands and the benchmark place stay inside the
+    # window; one that leaves it would place twice, at Hadamard's width
+    for _ in placing_pass(g, None, None, Packing.of(g, base_anchor(g))):
+        pass
+
+
+def test_narrow_width_places_the_sweep_without_fallback():
+    for g in enumerate_connected_multigraphs(7):
+        for _ in placing_pass(g, None, None, Packing.of(g, base_anchor(g))):
+            pass
 
 
 def test_anchor_slots_widen_for_a_large_anchor():
