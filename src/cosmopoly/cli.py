@@ -6,10 +6,10 @@ content-addressed cache can only change wall time, never results.
 
 Exit codes: 0 ok, 1 internal error, 2 parse or usage error (including a
 disconnected graph for a command that needs a connected one, and ``auto``
-refusing a graph above its caps), 3 budget exceeded, 4 check failure (a
-theorem check fails, or the h* routes disagree: ``verify`` not ok, or any
-ERROR case of a ``conjecture`` sweep).  A VIOLATED conjecture is a finding
-and exits 0.
+refusing a graph with an ``Other`` block above the point cap), 3 budget
+exceeded, 4 check failure (a theorem check fails, or the h* routes
+disagree: ``verify`` not ok, or any ERROR case of a ``conjecture``
+sweep).  A VIOLATED conjecture is a finding and exits 0.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from typing import Sequence
 
@@ -160,10 +158,17 @@ def _cache_dir(args) -> str | None:
     return os.environ.get("COSMOPOLY_CACHE") or None
 
 
+def _sha256(text: str) -> str:
+    # imported here: only a call with a cache directory hashes
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _graph_hash(g: Multigraph) -> str:
     # The labeled graph, not its isomorphism class: lattice points, facets,
     # cells and the statistic verdict depend on labels and orientation.
-    return hashlib.sha256(write_graph_text(g).encode()).hexdigest()
+    return _sha256(write_graph_text(g))
 
 
 def _cache_header(g: Multigraph, command: str, params: dict) -> dict:
@@ -179,11 +184,11 @@ def _cache_header(g: Multigraph, command: str, params: dict) -> dict:
 
 
 def _cache_key(header: dict) -> str:
-    return hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
+    return _sha256(json.dumps(header, sort_keys=True))
 
 
 def _payload_digest(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return _sha256(json.dumps(payload, sort_keys=True))
 
 
 def cache_lookup(cache_dir: str, key: str, header: dict) -> dict | None:
@@ -209,6 +214,8 @@ def cache_store(cache_dir: str, key: str, header: dict, payload: dict,
                 wall_time: float) -> None:
     """Write the record, with a sha256 of its payload, atomically; a store
     that fails only warns on stderr."""
+    import tempfile
+
     record = {**header, "wall_time_s": wall_time, "payload": payload,
               "payload_sha256": _payload_digest(payload)}
     tmp = None

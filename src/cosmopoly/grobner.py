@@ -12,9 +12,7 @@ verified downstream.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Budget, as_budget
 from .multigraph import Cycle, Multigraph, simple_cycles, simple_paths
@@ -61,8 +59,7 @@ def monomial_image(mono: Monomial) -> tuple[int, ...]:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     """lhs - rhs, both sides mapping to the same Laurent monomial.
 
     For the fundamental family, lhs is the side required to lead under a
@@ -121,6 +118,8 @@ def default_good_order(g: Multigraph, seed: int | None = None) -> TermOrder:
     zv = sorted(by_kind.get(ZVERTEX, []), key=lambda p: p.index)
     classes = [yf, yb, ze, tt, zv]
     if seed is not None:
+        import random  # only a seeded order shuffles
+
         rng = random.Random(seed)
         for cls in classes:
             rng.shuffle(cls)

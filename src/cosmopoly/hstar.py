@@ -19,10 +19,7 @@ exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     Budget,
@@ -45,8 +42,11 @@ from .multigraph import (
     induced_by_edges,
     is_connected,
 )
-from .polytope import _sumsets, dimension, lattice_points
+from .polytope import _sumsets, dimension
 from .triangulation import Simplex, cells_from_masks, decorated_view, placed, sq_db_counts
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class IntPolynomial:
@@ -190,33 +190,54 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 # Visibility route
 
 
-@dataclass(frozen=True)
-class AnchorPoint:
-    """Strictly positive rational point of coordinate sum 1 inside the
-    polytope, with the cells of the placing triangulation and their
-    visibility histogram: ``visible_counts[i]`` cells have exactly i facets
-    visible from the anchor, a facet whose hyperplane holds it being
-    decided by the lexicographic tie-break of ``Packing.negatives``.
-    ``perturbation_index`` is always 0: the anchor is never moved."""
+class AnchorPoint(NamedTuple):
+    """Strictly positive point inside the polytope, on the ray of its
+    primitive integer vector ``integer_coords``, with the cells of the
+    placing triangulation and their visibility histogram:
+    ``visible_counts[i]`` cells have exactly i facets visible from the
+    anchor, a facet whose hyperplane holds it being decided by the
+    lexicographic tie-break of ``Packing.negatives``.
+    ``perturbation_index`` is always 0: the anchor is never moved.  The
+    cells are kept as bit masks of point indices, and ``coords`` and
+    ``cells`` are computed each time they are read."""
 
-    coords: tuple[Fraction, ...]
+    integer_coords: tuple[int, ...]
     perturbation_index: int
     visible_counts: tuple[int, ...]
-    graph: Multigraph = field(repr=False)
-    masks: tuple[int, ...] = field(repr=False)  # the cells as bit masks of point indices
+    graph: Multigraph
+    masks: tuple[int, ...]  # the cells as bit masks of point indices
 
-    @cached_property
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The anchor's exact coordinates, of sum 1."""
+        from fractions import Fraction
+
+        total = sum(self.integer_coords)
+        return tuple(Fraction(c, total) for c in self.integer_coords)
+
+    @property
     def cells(self) -> tuple[Simplex, ...]:
         """The cells, sorted as by ``build_triangulation``."""
         return tuple(cells_from_masks(self.graph, self.masks))
 
+    def __repr__(self) -> str:
+        return (
+            f"AnchorPoint(coords={self.coords!r}, "
+            f"perturbation_index={self.perturbation_index!r}, "
+            f"visible_counts={self.visible_counts!r})"
+        )
 
-def _base_anchor(g: Multigraph) -> list[Fraction]:
+
+def _base_anchor(g: Multigraph) -> list[int]:
+    """The anchor that weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
+    1/(2|E|(|V|+1)), as the primitive integer vector on its ray.
+
+    Times 2|V||E|(|V|+1), the weights are (2|V|+1)|E| and |V|; 2|V|+1 is
+    prime to |V|, so their gcd is gcd(|V|, |E|)."""
     nv = g.vertex_count
     ne = len(g.edges)
-    qv = Fraction(2 * nv + 1, 2 * nv * (nv + 1))
-    qe = Fraction(1, 2 * ne * (nv + 1))
-    return [qv] * nv + [qe] * ne
+    d = math.gcd(nv, ne)
+    return [(2 * nv + 1) * ne // d] * nv + [nv // d] * ne
 
 
 def build_anchor(
@@ -230,26 +251,30 @@ def build_anchor(
     (two if an inverse entry leaves the narrow width; see
     :func:`~cosmopoly.triangulation.placed`).
 
-    The anchor weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
-    1/(2|E|(|V|+1)).  Each cell's facet values at the anchor are read off
-    its integer inverse; one that is 0 is decided lexicographically, as at
-    the anchor moved by eps e_1 + eps^2 e_2 + ... for a small eps > 0,
-    which stays inside the polytope's cone.  So exactly one of two cells
+    The anchor Q is the integer point of :func:`_base_anchor`, which
+    weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges 1/(2|E|(|V|+1)) up
+    to scale; no fraction is formed.  Each cell's facet values at the
+    anchor are read off its integer inverse; one that is 0 is decided
+    lexicographically, as at the anchor moved by eps e_1 + eps^2 e_2 + ...
+    for a small eps > 0, which stays inside the polytope's cone.  So exactly one of two cells
     sharing a facet sees it, and the decomposition holds for every anchor.
     """
     q = _base_anchor(g)
+    # an anchor given by rationals scales to the primitive integer point on
+    # its ray; an integer one stays as it is
     scale = math.lcm(*(c.denominator for c in q))
-    ints = [int(c * scale) for c in q]
+    ints = [c.numerator * (scale // c.denominator) for c in q]
     # Row j of a cell's inverse is the facet functional opposite its point
     # p_j, 1 on p_j, and its anchor entry is y_j, the row times Q; y_j < 0
-    # iff facet j is visible from Q.  The p_j have coordinate sum 1, so
-    # the y_j sum to scale > 0, also after the tie-break's move, and at most
-    # len(ints) - 1 facets of a cell are visible.
+    # iff facet j is visible from Q.  The p_j have coordinate sum 1, so the
+    # y_j sum to the coordinate sum of Q, which is > 0, also after the
+    # tie-break's move, and at most len(ints) - 1 facets of a cell are
+    # visible.
     masks, visible = placed(g, order, budget, ints, lambda pk, _, inverse: pk.negatives(inverse))
     counts = [0] * len(ints)
     for n in visible:
         counts[n] += 1
-    return AnchorPoint(tuple(q), 0, tuple(counts), g, tuple(masks))
+    return AnchorPoint(tuple(ints), 0, tuple(counts), g, tuple(masks))
 
 
 def hstar_visibility(
@@ -328,7 +353,9 @@ def ehrhart_count_from_hstar(h: IntPolynomial, d: int, t: int) -> int:
 # Block route
 
 
-def _hstar_block(g: Multigraph, block: BlockClass, budget: Budget | int | None) -> IntPolynomial:
+def _hstar_block(
+    g: Multigraph, block: BlockClass, budget: Budget | int | None, order_seed: int | None
+) -> IntPolynomial:
     if block.tag == LOOP:
         return ONE_PLUS_Z
     if block.tag == SINGLE_EDGE:
@@ -338,15 +365,19 @@ def _hstar_block(g: Multigraph, block: BlockClass, budget: Budget | int | None) 
     if block.tag == MULTICYCLE:
         return hstar_closed_multicycle(block.multiplicities)
     sub, _ = induced_by_edges(g, block.edge_ids)
-    return hstar_visibility(sub, budget=budget)
+    return hstar_visibility(sub, default_good_order(sub, seed=order_seed), budget)
 
 
-def hstar_blocks(g: Multigraph, budget: Budget | int | None = None) -> IntPolynomial:
+def hstar_blocks(
+    g: Multigraph, budget: Budget | int | None = None, order_seed: int | None = None
+) -> IntPolynomial:
     """Product of block h*'s: h* is multiplicative over disjoint unions and
-    over gluings at a single vertex, so the block decomposition computes it."""
+    over gluings at a single vertex, so the block decomposition computes it.
+    A block without a closed form (tag ``Other``) is triangulated on its own
+    under ``default_good_order(block, seed=order_seed)``."""
     result = ONE
     for block in blocks(g):
-        result = result * _hstar_block(g, block, budget)
+        result = result * _hstar_block(g, block, budget, order_seed)
     return result
 
 
@@ -365,30 +396,38 @@ def per_component(g: Multigraph, fn) -> IntPolynomial:
     return result
 
 
-# Above this many lattice points ``auto`` refuses.  An ehrhart fallback for
-# small dimensions would never run: dimension <= 8 allows at most 30 points.
+# Above this many lattice points in an ``Other`` block ``auto`` refuses.  An
+# ehrhart fallback for small dimensions would never run: dimension <= 8
+# allows at most 30 points.
 VISIBILITY_POINT_CAP = 64
 
 
 def resolve_method(g: Multigraph, method: str) -> str:
     """The route ``hstar`` runs for ``method``.
 
-    ``auto`` picks the block closed forms when every block has one, then
-    visibility under the lattice-point cap, and otherwise refuses with
-    guidance.
+    ``auto`` follows the 1-sum recursion: visibility for a graph that is a
+    single block without a closed form (tag ``Other``), and the block
+    product otherwise, which triangulates each ``Other`` block on its own.
+    It refuses with guidance if an ``Other`` block has more lattice points
+    than the cap.
     """
     if method in ("blocks", "visibility", "ehrhart"):
         return method
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if all(b.tag != OTHER for b in blocks(g)):
-        return "blocks"
-    if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
+    block_list = blocks(g)
+    # an Other block is loopless: |V| + 4|E| lattice points of its own
+    if any(
+        b.tag == OTHER and len(b.vertices) + 4 * len(b.edge_ids) > VISIBILITY_POINT_CAP
+        for b in block_list
+    ):
+        raise NoMethodAvailable(
+            "graph exceeds the visibility point cap; "
+            "pass an explicit --method with a bigger --budget-nodes"
+        )
+    if len(block_list) == 1 and block_list[0].tag == OTHER:
         return "visibility"
-    raise NoMethodAvailable(
-        "graph exceeds the visibility point cap; "
-        "pass an explicit --method with a bigger --budget-nodes"
-    )
+    return "blocks"
 
 
 def hstar(
@@ -401,12 +440,13 @@ def hstar(
 
     Disconnected input is handled per component for the connected-only
     routes; visibility triangulates each component under
-    ``default_good_order(component, seed=order_seed)``.
+    ``default_good_order(component, seed=order_seed)``, and blocks each
+    ``Other`` block under ``default_good_order(block, seed=order_seed)``.
     """
     bud = as_budget(budget)
     route = resolve_method(g, method)
     if route == "blocks":
-        return hstar_blocks(g, bud)
+        return hstar_blocks(g, bud, order_seed)
     if route == "visibility":
         return per_component(
             g,
@@ -476,8 +516,7 @@ def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
 # Theorem and conjecture checks
 
 
-@dataclass(frozen=True)
-class ConjectureFinding:
+class ConjectureFinding(NamedTuple):
     name: str
     status: str  # "HOLDS" or "VIOLATED"; a sweep adds "SKIPPED" and "ERROR"
     detail: str

@@ -8,7 +8,6 @@ orientation everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Budget, GraphError, as_budget
@@ -20,8 +19,7 @@ MULTICYCLE = "Multicycle"
 OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     u: int
     v: int
@@ -38,25 +36,39 @@ class Edge:
         return self.v if w == self.u else self.u
 
 
-@dataclass(frozen=True)
 class Multigraph:
-    vertex_count: int
-    edges: tuple[Edge, ...]
+    """A validated multigraph, compared and hashed by value.  Treat it as
+    frozen: the lattice-point memo is keyed on it."""
 
-    def __post_init__(self):
-        if self.vertex_count <= 0:
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...]):
+        if vertex_count <= 0:
             raise GraphError("vertex_count must be positive")
         covered = set()
-        for pos, e in enumerate(self.edges):
+        for pos, e in enumerate(edges):
             if e.id != pos:
-                raise GraphError(f"edge ids must be 0..{len(self.edges) - 1} in list order")
-            if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
+                raise GraphError(f"edge ids must be 0..{len(edges) - 1} in list order")
+            if not (0 <= e.u < vertex_count and 0 <= e.v < vertex_count):
                 raise GraphError(f"edge {pos} endpoint out of range")
             covered.add(e.u)
             covered.add(e.v)
-        isolated = [v for v in range(self.vertex_count) if v not in covered]
+        isolated = [v for v in range(vertex_count) if v not in covered]
         if isolated:
             raise GraphError(f"isolated vertices not allowed: {isolated}")
+        self.vertex_count = vertex_count
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Multigraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @classmethod
     def from_pairs(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
@@ -237,8 +249,7 @@ def is_connected(g: Multigraph) -> bool:
     return len(connected_components(g)) == 1
 
 
-@dataclass(frozen=True)
-class BlockClass:
+class BlockClass(NamedTuple):
     """One block (maximal piece not splittable at a cut vertex), classified."""
 
     tag: str

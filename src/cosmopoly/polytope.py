@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import Budget, DisconnectedGraph, as_budget
 from .multigraph import Multigraph, connected_subgraphs, is_connected
@@ -33,8 +32,7 @@ YBACKWARD = "yb"
 KIND_RANK = {ZVERTEX: 0, ZEDGE: 1, TPOINT: 2, YFORWARD: 3, YBACKWARD: 4}
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     """A lattice point of the polytope, tagged by what it represents.
 
     Kinds: ``zv`` (vertex unit vector), ``ze`` (edge unit vector), ``t``
@@ -109,8 +107,7 @@ def dimension(g: Multigraph) -> int:
     return g.vertex_count + len(g.edges) - 1
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(NamedTuple):
     """Facet c . w >= 0, witnessed by a connected subgraph (vertices, edges).
 
     The normal has c_v = 1 on subgraph vertices and, for every edge outside

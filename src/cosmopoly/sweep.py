@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, permutations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import Budget, BudgetExceeded, as_budget
 from .grobner import default_good_order
@@ -92,16 +91,15 @@ def enumerate_connected_multigraphs(max_size: int) -> Iterator[Multigraph]:
                 yield g
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Cross-method h* comparison and, when the routes agree, the names of
     the theorem checks run and the conjecture verdicts."""
 
     methods: dict[str, IntPolynomial]
     skipped: dict[str, str]
     agree: bool
-    theorem_checks: list[str] = field(default_factory=list)
-    conjectures: list[ConjectureFinding] = field(default_factory=list)
+    theorem_checks: list[str]
+    conjectures: list[ConjectureFinding]
 
 
 VERIFY_EHRHART_DIM_CAP = 8
@@ -114,17 +112,20 @@ def verify_graph(
 ) -> VerifyReport:
     """Run every applicable h* method, compare them, and run all checks.
 
-    The blocks route always runs.  Visibility runs when the lattice-point
-    count permits, ehrhart when the dimension permits; a budget overrun on
-    the optional routes is recorded as a skip rather than an error.  On a
-    connected graph the statistic check reads the masks of the visibility
-    cells (:func:`mask_statistic`), so no cell is decoded, sorted or
-    rendered unless one breaks the stroke rule.
+    The blocks route always runs, and triangulates each ``Other`` block
+    under ``default_good_order(block, seed=s)`` with s = ``order_seed`` + 1
+    (1 when None), not under the visibility route's order, so that the two
+    routes check each other on a graph that is one such block.  Visibility
+    runs when the lattice-point count permits, ehrhart when the dimension
+    permits; a budget overrun on the optional routes is recorded as a skip
+    rather than an error.  On a connected graph the statistic check reads
+    the masks of the visibility cells (:func:`mask_statistic`), so no cell
+    is decoded, sorted or rendered unless one breaks the stroke rule.
     """
     bud = as_budget(budget)
     methods: dict[str, IntPolynomial] = {}
     skipped: dict[str, str] = {}
-    methods["blocks"] = hstar_blocks(g, bud)
+    methods["blocks"] = hstar_blocks(g, bud, (order_seed or 0) + 1)
 
     anchor = None
     if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
@@ -148,17 +149,15 @@ def verify_graph(
         skipped["ehrhart"] = "dimension above cap"
 
     polys = list(methods.values())
-    agree = all(p == polys[0] for p in polys)
-    report = VerifyReport(methods, skipped, agree)
-    if not agree:
-        return report
+    if not all(p == polys[0] for p in polys):
+        return VerifyReport(methods, skipped, False, [], [])
 
     h = methods["blocks"]
-    report.theorem_checks = check_structure_theorems(g, h)
-    report.conjectures.append(check_upper_bound_conjecture(g, h))
+    theorem_checks = check_structure_theorems(g, h)
+    conjectures = [check_upper_bound_conjecture(g, h)]
     if anchor is not None:
-        report.conjectures.append(statistic_finding(mask_statistic(g, anchor.masks), h))
-    return report
+        conjectures.append(statistic_finding(mask_statistic(g, anchor.masks), h))
+    return VerifyReport(methods, skipped, True, theorem_checks, conjectures)
 
 
 # ---------------------------------------------------------------------------

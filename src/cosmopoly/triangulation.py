@@ -75,8 +75,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     Budget,
@@ -468,8 +467,7 @@ def normalized_volume(points: Iterable[LatticePoint]) -> int:
     return 0 if -1 in first else abs(det)
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(NamedTuple):
     """Per-vertex white/black coloring plus the stroke set of every edge."""
 
     white_vertices: frozenset[int]

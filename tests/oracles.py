@@ -706,10 +706,18 @@ def solve_rational(matrix, rhs) -> tuple[list[Fraction], int]:
 MAX_ANCHOR_RETRIES = 32
 
 
+def base_anchor_coords(g: Multigraph) -> list[Fraction]:
+    """The exact coordinates, of sum 1, of the integer anchor of
+    ``build_anchor``."""
+    q = _base_anchor(g)
+    total = sum(q)
+    return [Fraction(c, total) for c in q]
+
+
 def perturbed_anchor(g: Multigraph, index: int) -> list[Fraction]:
     """Candidate ``index`` of a deterministic schedule of anchors: the base
     anchor, then shrinking alternating perturbations of it."""
-    q = _base_anchor(g)
+    q = base_anchor_coords(g)
     if index == 0:
         return q
     m = len(q)

@@ -22,7 +22,7 @@ from cosmopoly.cli import (
 )
 from cosmopoly.errors import Budget, CosmopolyError, GraphFileError, TheoremViolation
 from cosmopoly.grobner import default_good_order
-from cosmopoly.hstar import ONE
+from cosmopoly.hstar import ONE, IntPolynomial
 from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
 from cosmopoly.sweep import enumerate_connected_multigraphs, sweep_graphs, verify_graph
 from cosmopoly.triangulation import build_triangulation
@@ -123,6 +123,19 @@ def test_hstar_json_reports_resolved_route(tmp_path, capsys, text, route):
     code, out, _ = invoke(capsys, "hstar", path, "--json")
     assert code == EXIT_OK
     assert json.loads(out)["method"] == route
+
+
+def test_auto_takes_the_block_product_of_a_one_sum(tmp_path, capsys):
+    # K4 glued to K4 at vertex 3: two K4 placing passes under the default
+    # budget, where whole-graph visibility would place about 5.9 M cells
+    k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+    _, out, _ = invoke(capsys, "hstar", graph_file(tmp_path, k4, "k4.txt"), "--json")
+    single = json.loads(out)["coeffs"]
+    glued = k4 + "3 4\n3 5\n3 6\n4 5\n4 6\n5 6\n"
+    code, out, _ = invoke(capsys, "hstar", graph_file(tmp_path, glued), "--json")
+    payload = json.loads(out)
+    assert (code, payload["method"]) == (EXIT_OK, "blocks")
+    assert payload["coeffs"] == list((IntPolynomial(single) * IntPolynomial(single)).coeffs)
 
 
 def test_info_and_volume(tmp_path, capsys):
@@ -526,7 +539,7 @@ def test_conjecture_statistic_sweep(capsys):
 @pytest.mark.parametrize("which", ["upper-bound", "statistic"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_graph_sweep_with_disagreeing_routes_exits_check(capsys, monkeypatch, which, as_json):
-    monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget: ONE)
+    monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget, order_seed: ONE)
     code, out, _ = invoke(
         capsys, "conjecture", which, "--max-size", "4", *(["--json"] if as_json else [])
     )

@@ -1,4 +1,4 @@
-import dataclasses
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -17,6 +17,7 @@ from cosmopoly.errors import (
 )
 from cosmopoly.hstar import (
     ONE,
+    VISIBILITY_POINT_CAP,
     IntPolynomial,
     ONE_PLUS_3Z,
     ONE_PLUS_Z,
@@ -32,12 +33,15 @@ from cosmopoly.hstar import (
     hstar_visibility,
     lower_bound_polynomial,
     mask_statistic,
+    resolve_method,
     statistic_finding,
     statistic_polynomial,
     theta_hstar,
 )
 from cosmopoly.multigraph import (
+    OTHER,
     Multigraph,
+    blocks,
     bundle,
     disjoint_union,
     is_connected,
@@ -63,6 +67,7 @@ from cosmopoly.triangulation import (
 
 from oracles import (
     barycentric,
+    base_anchor_coords,
     ehrhart_all_dilates,
     perturbed_anchor,
     points_on_cell_facet_hyperplanes,
@@ -152,7 +157,18 @@ def test_anchor_single_edge_exact():
     g = single_edge()
     anchor = build_anchor(g)
     assert anchor.coords == (Fraction(5, 12), Fraction(5, 12), Fraction(1, 6))
+    assert anchor.integer_coords == (5, 5, 2)
     assert anchor.perturbation_index == 0
+
+
+def test_base_anchor_is_the_primitive_point_of_the_published_weights():
+    for g in [*enumerate_connected_multigraphs(6), theta_graph(2, 2, 2), K4]:
+        nv, ne = g.vertex_count, len(g.edges)
+        weights = [Fraction(2 * nv + 1, 2 * nv * (nv + 1))] * nv
+        weights += [Fraction(1, 2 * ne * (nv + 1))] * ne
+        q = hstar_module._base_anchor(g)
+        assert math.gcd(*q) == 1
+        assert [Fraction(c, sum(q)) for c in q] == weights
 
 
 def test_anchor_multicycle_matches_published_weights():
@@ -218,7 +234,7 @@ def anchored_at(monkeypatch, g, order, q, budget):
 def test_anchor_on_a_facet_hyperplane_takes_one_pass(monkeypatch):
     g = triangle()
     cells = build_triangulation(g)
-    on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, hstar_module._base_anchor(g)))
+    on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base_anchor_coords(g)))
     assert any(0 in barycentric([*s], on_hyperplane) for s in cells)
     bud = Budget(None)
     anchor, tied = anchored_at(monkeypatch, g, None, on_hyperplane, bud)
@@ -241,7 +257,7 @@ def test_anchors_on_facet_hyperplanes_are_tie_broken(monkeypatch, seed):
         spent = Budget(None)
         cells = build_triangulation(g, order, spent)
         h = None
-        for q in points_on_cell_facet_hyperplanes(g, order, hstar_module._base_anchor(g)):
+        for q in points_on_cell_facet_hyperplanes(g, order, base_anchor_coords(g)):
             if h is None:
                 h = hstar_blocks(g)
                 assert two_pass_visibility(g, cells)[2] == list(h.coeffs)
@@ -273,7 +289,7 @@ def test_cells_are_sorted_only_for_the_statistic_check(monkeypatch):
     (finding,) = [c for c in report.conjectures if c.name == "statistic"]
     assert finding.status == "HOLDS"
     # routes that disagree leave the statistic unchecked
-    monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget: ONE)
+    monkeypatch.setattr(sweep_module, "hstar_blocks", lambda g, budget, order_seed: ONE)
     report = verify_graph(g)
     assert not report.agree and not report.conjectures
 
@@ -428,6 +444,71 @@ def test_dispatcher_refuses_oversize():
         hstar(g)
 
 
+K23 = theta_graph(2, 2, 2)
+K6 = Multigraph.from_pairs(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+
+
+def _one_sums_with_an_other_block():
+    """Small 1-sums that hold a block without a closed form, and the graphs
+    of the |V| + |E| <= 10 sweep that hold one with another block."""
+    named = {"K23+edge": one_sum(K23, single_edge()), "K4+loop": one_sum(K4, loop_graph(1)),
+             "edge+K4": one_sum(single_edge(), K4, 1, 2)}
+    swept = [g for g in enumerate_connected_multigraphs(10)
+             if len(bs := blocks(g)) > 1 and any(b.tag == OTHER for b in bs)]
+    assert len(swept) == 2
+    named.update((f"sweep10-{i}", g) for i, g in enumerate(swept))
+    return [pytest.param(g, id=name) for name, g in named.items()]
+
+
+@pytest.mark.parametrize("g", _one_sums_with_an_other_block())
+def test_auto_follows_the_one_sum_recursion(g):
+    # several blocks: the block product, each Other block triangulated on
+    # its own under the seeded order, gives the h* of whole-graph visibility
+    assert resolve_method(g, "auto") == "blocks"
+    assert hstar(g) == hstar(g, order_seed=2) == hstar(g, "visibility")
+
+
+def test_auto_keeps_visibility_for_one_other_block():
+    for g in (K4, K23, theta_graph(1, 2, 2)):
+        assert resolve_method(g, "auto") == "visibility"
+
+
+def test_auto_caps_each_other_block():
+    # three K4s glued in a row: 82 lattice points, but 28 per block
+    three = one_sum(one_sum(K4, K4, 3, 0), K4, 6, 0)
+    assert len(lattice_points(three)) > VISIBILITY_POINT_CAP >= len(lattice_points(K4))
+    assert resolve_method(three, "auto") == "blocks"
+    assert hstar(three) == hstar_visibility(K4) ** 3
+    # K6 has 66 lattice points, also with an edge glued on
+    with pytest.raises(NoMethodAvailable):
+        resolve_method(one_sum(K6, single_edge()), "auto")
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_verify_places_an_other_block_under_two_orders(monkeypatch, seed):
+    # K4 with a doubled edge is one Other block, and its dimension is above
+    # the Ehrhart cap: the blocks and visibility routes are the only two
+    # checks, and they place different cells
+    g = Multigraph.from_pairs(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    anchors = {}
+
+    def recorded(route, build):
+        def build_and_record(*args, **kwargs):
+            anchors.setdefault(route, []).append(anchor := build(*args, **kwargs))
+            return anchor
+        return build_and_record
+
+    monkeypatch.setattr(hstar_module, "build_anchor", recorded("blocks", build_anchor))
+    monkeypatch.setattr(sweep_module, "build_anchor", recorded("visibility", build_anchor))
+    report = verify_graph(g, order_seed=seed)
+    assert report.agree and sorted(report.methods) == ["blocks", "visibility"]
+    (by_blocks,), (by_visibility,) = anchors["blocks"], anchors["visibility"]
+    assert by_blocks.graph == by_visibility.graph == g
+    assert by_blocks.visible_counts == by_visibility.visible_counts
+    assert len(by_blocks.masks) == len(by_visibility.masks) == 6656
+    assert set(by_blocks.masks) != set(by_visibility.masks)
+
+
 def test_dispatcher_explicit_methods():
     g = path_graph(2)
     for method in ("blocks", "visibility", "ehrhart"):
@@ -567,7 +648,7 @@ def test_verify_keeps_the_stroke_errors(monkeypatch):
         anchor = real(g, order, budget)
         (name,) = [k for k, h in BAD_GRAPHS.items() if h == g]
         bad = tuple(_mask(g, names) for names in BAD_CELLS[name])
-        return dataclasses.replace(anchor, masks=anchor.masks + bad)
+        return anchor._replace(masks=anchor.masks + bad)
 
     monkeypatch.setattr(sweep_module, "build_anchor", with_bad_cells)
     with pytest.raises(StructureViolation, match="edge 0 carries 0 strokes"):

@@ -27,7 +27,7 @@ from cosmopoly.polytope import count_dilate_points
 from cosmopoly.sweep import verify_graph
 from cosmopoly.triangulation import build_triangulation, placing_pass
 
-from oracles import points_on_cell_facet_hyperplanes
+from oracles import base_anchor_coords, points_on_cell_facet_hyperplanes
 
 
 def anchor_with_tie_broken_cells():
@@ -35,7 +35,7 @@ def anchor_with_tie_broken_cells():
     that the tie-break decodes their rows."""
     g = triangle()
     base = hstar_module._base_anchor
-    on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base(g)))
+    on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base_anchor_coords(g)))
     hstar_module._base_anchor = lambda g: on_hyperplane
     try:
         anchor = build_anchor(g)
