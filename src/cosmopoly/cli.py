@@ -7,9 +7,10 @@ content-addressed cache can only change wall time, never results.
 Exit codes: 0 ok, 1 internal error, 2 parse or usage error (including a
 disconnected graph for a command that needs a connected one, and ``auto``
 refusing a graph with an ``Other`` block above the point cap), 3 budget
-exceeded, 4 check failure (a theorem check fails, or the h* routes
-disagree: ``verify`` not ok, or any ERROR case of a ``conjecture``
-sweep).  A VIOLATED conjecture is a finding and exits 0.
+exceeded, 4 check failure (a theorem check fails, a multicycle cell
+breaks the proven stroke description, or the h* routes disagree:
+``verify`` not ok, or any ERROR case of a ``conjecture`` sweep).  A
+VIOLATED conjecture is a finding and exits 0.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     GraphError,
     GraphFileError,
     NoMethodAvailable,
+    StructureViolation,
     TheoremViolation,
     as_budget,
 )
@@ -548,7 +550,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except TheoremViolation as exc:
+    except (TheoremViolation, StructureViolation) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except CosmopolyError as exc:

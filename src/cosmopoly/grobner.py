@@ -46,19 +46,6 @@ def monomial_support(mono: Monomial) -> Obstruction:
     return frozenset(p for p, _ in mono)
 
 
-def monomial_image(mono: Monomial) -> tuple[int, ...]:
-    """Exponent vector of the Laurent-monomial image: sum of exp * coords."""
-    acc = None
-    for p, exp in mono:
-        if acc is None:
-            acc = [exp * c for c in p.coords]
-        else:
-            for i, c in enumerate(p.coords):
-                acc[i] += exp * c
-    assert acc is not None
-    return tuple(acc)
-
-
 class Binomial(NamedTuple):
     """lhs - rhs, both sides mapping to the same Laurent monomial.
 
@@ -70,9 +57,6 @@ class Binomial(NamedTuple):
     rhs: Monomial
     family: str
     witness: tuple
-
-    def is_balanced(self) -> bool:
-        return monomial_image(self.lhs) == monomial_image(self.rhs)
 
 
 class TermOrder:

@@ -192,8 +192,9 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 
 class AnchorPoint(NamedTuple):
     """Strictly positive point inside the polytope, on the ray of its
-    primitive integer vector ``integer_coords``, with the cells of the
-    placing triangulation and their visibility histogram:
+    primitive integer vector ``integer_coords``, the anchor every placing
+    pass carries, with the cells of the placing triangulation and their
+    visibility histogram, both from that one pass:
     ``visible_counts[i]`` cells have exactly i facets visible from the
     anchor, a facet whose hyperplane holds it being decided by the
     lexicographic tie-break of ``Packing.negatives``.
@@ -228,18 +229,6 @@ class AnchorPoint(NamedTuple):
         )
 
 
-def _base_anchor(g: Multigraph) -> list[int]:
-    """The anchor that weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
-    1/(2|E|(|V|+1)), as the primitive integer vector on its ray.
-
-    Times 2|V||E|(|V|+1), the weights are (2|V|+1)|E| and |V|; 2|V|+1 is
-    prime to |V|, so their gcd is gcd(|V|, |E|)."""
-    nv = g.vertex_count
-    ne = len(g.edges)
-    d = math.gcd(nv, ne)
-    return [(2 * nv + 1) * ne // d] * nv + [nv // d] * ne
-
-
 def build_anchor(
     g: Multigraph,
     order: TermOrder | None = None,
@@ -247,11 +236,14 @@ def build_anchor(
 ) -> AnchorPoint:
     """The anchor for the half-open decomposition of the placing
     triangulation of ``order``, with its cells and the count of cells per
-    number of visible facets, from one placing pass charged to ``budget``
-    (two if an inverse entry leaves the narrow width; see
-    :func:`~cosmopoly.triangulation.placed`).
+    number of visible facets, as read by the one placing pass that
+    :func:`~cosmopoly.triangulation.placed` charges to ``budget`` (two if
+    an inverse entry leaves the narrow width).  That is the pass
+    :func:`~cosmopoly.triangulation.build_triangulation` runs, so the
+    cells are its cells.
 
-    The anchor Q is the integer point of :func:`_base_anchor`, which
+    Every pass carries the anchor Q of
+    :func:`~cosmopoly.triangulation.base_anchor`, the integer point that
     weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges 1/(2|E|(|V|+1)) up
     to scale; no fraction is formed.  Each cell's facet values at the
     anchor are read off its integer inverse; one that is 0 is decided
@@ -259,22 +251,8 @@ def build_anchor(
     for a small eps > 0, which stays inside the polytope's cone.  So exactly one of two cells
     sharing a facet sees it, and the decomposition holds for every anchor.
     """
-    q = _base_anchor(g)
-    # an anchor given by rationals scales to the primitive integer point on
-    # its ray; an integer one stays as it is
-    scale = math.lcm(*(c.denominator for c in q))
-    ints = [c.numerator * (scale // c.denominator) for c in q]
-    # Row j of a cell's inverse is the facet functional opposite its point
-    # p_j, 1 on p_j, and its anchor entry is y_j, the row times Q; y_j < 0
-    # iff facet j is visible from Q.  The p_j have coordinate sum 1, so the
-    # y_j sum to the coordinate sum of Q, which is > 0, also after the
-    # tie-break's move, and at most len(ints) - 1 facets of a cell are
-    # visible.
-    masks, visible = placed(g, order, budget, ints, lambda pk, _, inverse: pk.negatives(inverse))
-    counts = [0] * len(ints)
-    for n in visible:
-        counts[n] += 1
-    return AnchorPoint(tuple(ints), 0, tuple(counts), g, tuple(masks))
+    anchor, masks, counts = placed(g, order, budget)
+    return AnchorPoint(anchor, 0, tuple(counts), g, tuple(masks))
 
 
 def hstar_visibility(

@@ -510,8 +510,3 @@ def simple_cycles(g: Multigraph) -> Iterator[Cycle]:
             yield from search(start, [start], [], {start})
     finally:
         del search  # search holds itself through its closure; free the search state now
-
-
-def bridges(g: Multigraph) -> list[int]:
-    """Edge ids of bridges (SingleEdge blocks)."""
-    return [b.edge_ids[0] for b in blocks(g) if b.tag == SINGLE_EDGE]

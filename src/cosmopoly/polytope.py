@@ -95,13 +95,6 @@ def _lattice_points(g: Multigraph) -> tuple[LatticePoint, ...]:
     return tuple(pts)
 
 
-def point_by_name(g: Multigraph, name: str) -> LatticePoint:
-    for p in lattice_points(g):
-        if p.name == name:
-            return p
-    raise KeyError(name)
-
-
 def dimension(g: Multigraph) -> int:
     """The polytope is (|V| + |E| - 1)-dimensional."""
     return g.vertex_count + len(g.edges) - 1

@@ -200,11 +200,9 @@ def sweep_theta(
     """Compare the closed theta formula against a computed h* for every
     k <= l <= m with k + l + m <= max_total."""
     out = []
-    for k in range(1, max_total + 1):
-        for l in range(k, max_total + 1):
-            for m in range(l, max_total + 1):
-                if k + l + m > max_total:
-                    continue
+    for k in range(1, max_total // 3 + 1):
+        for l in range(k, (max_total - k) // 2 + 1):
+            for m in range(l, max_total - k - l + 1):
                 g = theta_graph(k, l, m)
                 predicted = theta_hstar(k, l, m)
                 try:

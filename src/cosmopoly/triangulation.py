@@ -52,19 +52,23 @@ point norms, and a product digit is at most Es: 11 bits for theta(2,2,2),
 10 for K4, 14 for theta(2,3,3).  No graph tested so far has an inverse
 entry above 2 in size, so that fallback has not been needed.
 
-Given an integer anchor point Q, each row also carries its anchor entry,
-the row times Q, that is (C^-1 Q)_x, in a field of its own just above the
-row's entries, offset by half the field.  The pivots are row operations, so
-the same multiply-subtract keeps it exact, and the facets visible from Q,
-the negative anchor entries, are counted off the fields' sign bits.  An
-entry of 0, Q on the facet's hyperplane, takes the sign of the row's first
-nonzero entry: the sign at Q moved by eps e_1 + eps^2 e_2 + ..., a
-lexicographic tie-break (simulation of simplicity) under which every Q
-counts as generic.  An anchor entry is at most the largest entry, B(1 + Bs)
-narrow or E proven, times the 1-norm of Q in size, so the field and, in the product with a point, the entry times the
-point stay inside the slot once S grows by the digits that bound needs and
-three bits more: the product's part above the digit read then stays within
-a quarter of the offsets above it, and no slot borrows from the next.
+Every pass carries the base anchor Q, the primitive integer point of the
+published vertex and edge weights (:func:`base_anchor`): each row also
+carries its anchor entry, the row times Q, that is (C^-1 Q)_x, in a field
+of its own just above the row's entries, offset by half the field.  The
+pivots are row operations, so the same multiply-subtract keeps it exact,
+and the facets visible from Q, the negative anchor entries, are counted
+off the fields' sign bits in the pass that makes the cells, for
+``triangulate`` and the visibility route alike.  An entry of 0, Q on the
+facet's hyperplane, takes the sign of the row's first nonzero entry: the
+sign at Q moved by eps e_1 + eps^2 e_2 + ..., a lexicographic tie-break
+(simulation of simplicity) under which every Q counts as generic.  An
+anchor entry is at most the largest entry, B(1 + Bs) narrow or E proven,
+times the 1-norm of Q in size, so the field and, in the product with a
+point, the entry times the point stay inside the slot once S grows by the
+digits that bound needs and three bits more: the product's part above the
+digit read then stays within a quarter of the offsets above it, and no
+slot borrows from the next.
 
 Cells are rendered back onto the graph: a vertex is white when its z-point is
 present; an edge shows as plain (z), squiggly (t), or directed (y) strokes,
@@ -75,7 +79,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     Budget,
@@ -115,11 +119,12 @@ def build_triangulation(
     budget: Budget | int | None = None,
 ) -> list[Simplex]:
     """The placing triangulation of a good term order (the default order when
-    ``order`` is None), its cells sorted by canonical point indices.  One
-    budget node is charged per cell made and per point still to come tested
-    against a new facet."""
+    ``order`` is None), its cells sorted by canonical point indices: the
+    cells of the anchored pass that :func:`~cosmopoly.hstar.build_anchor`
+    reads.  One budget node is charged per cell made and per point still to
+    come tested against a new facet."""
     # placed in full first, so that the placing state is freed before the sort
-    masks, _ = placed(g, order, budget)
+    _, masks, _ = placed(g, order, budget)
     return cells_from_masks(g, masks)
 
 
@@ -155,27 +160,40 @@ class WidthOverflow(Exception):
     pass must run again at Hadamard's width (see :func:`placed`)."""
 
 
+def base_anchor(g: Multigraph) -> list[int]:
+    """The anchor that weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges
+    1/(2|E|(|V|+1)), as the primitive integer vector on its ray.
+
+    Times 2|V||E|(|V|+1), the weights are (2|V|+1)|E| and |V|; 2|V|+1 is
+    prime to |V|, so their gcd is gcd(|V|, |E|)."""
+    nv = g.vertex_count
+    ne = len(g.edges)
+    d = math.gcd(nv, ne)
+    return [(2 * nv + 1) * ne // d] * nv + [nv // d] * ne
+
+
 class Packing:
     """The layout that packs each cell inverse of a placing pass, with its
     anchor entries, into one int (see the module docstring), and the pivot
     and the reads that work on it.
 
     It is built from the coordinates of all points the pass may place and
-    the integer anchor, if any, so its width holds for every cell of the
-    pass.  A narrow layout holds one pivot from entries in :data:`WINDOW`
-    and raises :class:`WidthOverflow` when an entry leaves it; the
-    ``proven`` layout holds every entry Hadamard's bound allows, and checks
-    none.  Digits are stored offset by ``half``, anchor entries by
-    ``anchor_half``.
+    the integer anchor every pass carries, so its width holds for every
+    cell of the pass.  A narrow layout holds one pivot from entries in
+    :data:`WINDOW` and raises :class:`WidthOverflow` when an entry leaves
+    it; the ``proven`` layout holds every entry Hadamard's bound allows,
+    and checks none.  Digits are stored offset by ``half``, anchor entries
+    by ``anchor_half``.
     """
 
     @classmethod
-    def of(cls, g: Multigraph, anchor: Sequence[int] = (), proven: bool = False) -> Packing:
-        """The layout of a placing pass on ``g`` carrying ``anchor``."""
-        return cls([p.coords for p in lattice_points(g)], anchor, proven)
+    def of(cls, g: Multigraph, proven: bool = False) -> Packing:
+        """The layout of a placing pass on ``g``, carrying its
+        :func:`base_anchor`."""
+        return cls([p.coords for p in lattice_points(g)], base_anchor(g), proven)
 
     def __init__(
-        self, coords: Sequence[Sequence[int]], anchor: Sequence[int] = (), proven: bool = False
+        self, coords: Sequence[Sequence[int]], anchor: Sequence[int], proven: bool = False
     ):
         self.anchor = tuple(anchor)
         m = self.m = len(coords[0])
@@ -195,17 +213,15 @@ class Packing:
             # and the window test adds up to b to it
             self.digit_bound = self.entry_bound + b
         w = self.width = self.digit_bound.bit_length() + 1
-        self.digits, a = 2 * m - 1, 0
-        if anchor:
-            # an anchor entry is a row times the anchor; its field holds that less 1
-            bound = self.entry_bound * sum(map(abs, anchor))
-            a = (bound + 1).bit_length() + 1
-            # the entry times a point stays in the slot above the digit read,
-            # with three bits to spare (see the module docstring)
-            self.digits += -(-(3 + (1 + bound * spread).bit_length()) // w)
+        # an anchor entry is a row times the anchor; its field holds that less 1
+        bound = self.entry_bound * sum(map(abs, anchor))
+        a = (bound + 1).bit_length() + 1
+        # the entry times a point stays in the slot above the digit read,
+        # with three bits to spare (see the module docstring)
+        self.digits = 2 * m - 1 + -(-(3 + (1 + bound * spread).bit_length()) // w)
         s = self.slot = w * self.digits
         self.half, self.digit_mask = 1 << w - 1, (1 << w) - 1
-        self.anchor_half = (1 << a) // 2  # 0 without an anchor
+        self.anchor_half = 1 << a - 1
         self.row_mask, self.lead_mask = (1 << w * m) - 1, (1 << w * m + a) - 1
         row_ones = sum(1 << w * k for k in range(m))
         self.row_offset = self.half * row_ones
@@ -234,9 +250,9 @@ class Packing:
             self.window_bits = self.row_offset * ones
 
     def pack(self, rows: Sequence[Sequence[int]]) -> int:
-        """Rows of m entries, each followed by its anchor entry if the layout
-        has an anchor.  Raises :class:`WidthOverflow` if an entry is outside
-        a narrow layout's window."""
+        """Rows of m entries, each followed by its anchor entry.  Raises
+        :class:`WidthOverflow` if an entry is outside a narrow layout's
+        window."""
         w, s, m = self.width, self.slot, self.m
         if self.window:
             lo, hi = self.window
@@ -247,20 +263,14 @@ class Packing:
         )
 
     def rows(self, inverse: int) -> tuple[tuple[int, ...], ...]:
-        """The rows of a packed inverse, each followed by its anchor entry if
-        the layout has an anchor."""
+        """The rows of a packed inverse, each followed by its anchor entry."""
         w, s, m = self.width, self.slot, self.m
-        entries = [
+        mask = 2 * self.anchor_half - 1
+        return tuple(
             tuple((inverse >> s * x + w * k & self.digit_mask) - self.half for k in range(m))
+            + ((inverse >> s * x + w * m & mask) - self.anchor_half,)
             for x in range(m)
-        ]
-        if self.anchor_half:
-            mask = 2 * self.anchor_half - 1
-            return tuple(
-                row + ((inverse >> s * x + w * m & mask) - self.anchor_half,)
-                for x, row in enumerate(entries)
-            )
-        return tuple(entries)
+        )
 
     def negatives(self, inverse: int) -> int:
         """The number of facets of a packed inverse's cell visible from the
@@ -301,46 +311,50 @@ def placed(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
-    anchor: Sequence[int] = (),
-    read: Callable[[Packing, tuple[int, ...], int], object] | None = None,
-) -> tuple[list[int], list]:
-    """The cells of :func:`placing_pass` as bit masks, in the order made,
-    and ``read(packing, cell, inverse)`` of each cell when given ``read``.
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The anchor the pass carried, the cells of :func:`placing_pass` as
+    bit masks, in the order made, and the visibility histogram: ``counts[i]``
+    cells have exactly i facets visible from the anchor
+    (:meth:`Packing.negatives`).
 
     The pass runs at the narrow width; if an inverse entry leaves
     :data:`WINDOW`, it runs again at Hadamard's width, and ``budget`` is
     charged for both runs."""
     bud = as_budget(budget)
 
-    def run(pk: Packing) -> tuple[list[int], list]:
-        masks, reads = [], []
-        for cell, mask, inverse in placing_pass(g, order, bud, pk):
+    def run(pk: Packing) -> tuple[tuple[int, ...], list[int], list[int]]:
+        # Row j of a cell's inverse is the facet functional opposite its
+        # point p_j, 1 on p_j, and its anchor entry is y_j, the row times
+        # the anchor Q; y_j < 0 iff facet j is visible from Q.  The p_j have
+        # coordinate sum 1, so the y_j sum to the coordinate sum of Q, which
+        # is > 0, also after the tie-break's move, and at most m - 1 facets
+        # of a cell are visible.
+        masks, counts = [], [0] * pk.m
+        for _, mask, inverse in placing_pass(g, order, bud, pk):
             masks.append(mask)
-            if read is not None:
-                reads.append(read(pk, cell, inverse))
-        return masks, reads
+            counts[pk.negatives(inverse)] += 1
+        return pk.anchor, masks, counts
 
     try:
-        return run(Packing.of(g, anchor))
+        return run(Packing.of(g))
     except WidthOverflow:
-        return run(Packing.of(g, anchor, proven=True))
+        return run(Packing.of(g, proven=True))
 
 
 def placing_pass(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
-    anchor: Sequence[int] | Packing = (),
+    packing: Packing | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield the cells of :func:`build_triangulation` as they are made, as
     (cell, mask, inverse): the point indices by slot, the same as a bit
     mask, and the cell's integer inverse, whose row q is the facet
     functional opposite slot q, 1 on its point.  The inverse is one int in
-    the layout ``Packing.of(g, anchor)``: row x in the digits
-    xS .. xS + m - 1, each of w bits and offset by 2^(w-1).  Given an
-    integer ``anchor`` point, each row also carries the row times the
-    anchor, in a field just above its entries.  A caller that reads the
-    inverses passes that layout as ``anchor`` instead, so that it is built
+    the layout ``packing``, ``Packing.of(g)`` when None: row x in the digits
+    xS .. xS + m - 1, each of w bits and offset by 2^(w-1), and then the
+    row times the layout's anchor, in a field just above its entries.  A
+    caller that reads the inverses passes the layout, so that it is built
     once, and decodes an inverse with ``Packing.rows``.
 
     The narrow layout raises :class:`WidthOverflow` once an entry leaves
@@ -357,12 +371,11 @@ def placing_pass(
     if not is_good_order(order, g, bud):
         raise BadTermOrder("term order fails the goodness check on this graph")
     points = lattice_points(g)
-    pk = anchor if isinstance(anchor, Packing) else Packing.of(g, anchor)
-    anchor = pk.anchor
+    pk = Packing.of(g) if packing is None else packing
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
     m = pk.m
     # the identity, with the anchor as its last column: the rows times the anchor
-    identity = [tuple(int(i == j) for j in range(m)) + tuple(anchor[i : i + 1]) for i in range(m)]
+    identity = [tuple(int(i == j) for j in range(m)) + (a,) for i, a in enumerate(pk.anchor)]
     first, det, inverse = fraction_free_basis(identity, (points[i].coords for i in placing))
     if det not in (1, -1):
         raise TheoremViolation(f"the first cell has determinant {det}, not +-1")

@@ -19,7 +19,10 @@ only the lattice points and the goodness check of the term order.
 
 The multicycle structure checker is no oracle: it tests the paper's
 structure lemma on the cells of multicycle triangulations, which no command
-needs, so it lives with the tests that run it.
+needs, so it lives with the tests that run it.  So do a few small lookups
+and identities that only the tests read: a lattice point by name, the
+bridges of a graph, and the Laurent-monomial image that shows a binomial
+balanced.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -42,19 +45,65 @@ from cosmopoly.errors import (
     TheoremViolation,
     as_budget,
 )
-from cosmopoly.grobner import Obstruction, TermOrder, default_good_order, is_good_order
-from cosmopoly.hstar import IntPolynomial, _base_anchor
-from cosmopoly.multigraph import Multigraph, is_connected, multicycle_layout
-from cosmopoly.polytope import count_dilate_points, dimension, facet_inequalities, lattice_points
+from cosmopoly.grobner import (
+    Binomial,
+    Monomial,
+    Obstruction,
+    TermOrder,
+    default_good_order,
+    is_good_order,
+)
+from cosmopoly.hstar import IntPolynomial
+from cosmopoly.multigraph import SINGLE_EDGE, Multigraph, blocks, is_connected, multicycle_layout
+from cosmopoly.polytope import (
+    LatticePoint,
+    count_dilate_points,
+    dimension,
+    facet_inequalities,
+    lattice_points,
+)
 from cosmopoly.triangulation import (
     BACKWARD,
     FORWARD,
     PLAIN,
     SQUIGGLY,
+    Packing,
     Simplex,
+    WidthOverflow,
+    base_anchor,
     decorated_view,
-    placed,
+    placing_pass,
 )
+
+
+def point_by_name(g: Multigraph, name: str) -> LatticePoint:
+    for p in lattice_points(g):
+        if p.name == name:
+            return p
+    raise KeyError(name)
+
+
+def bridges(g: Multigraph) -> list[int]:
+    """Edge ids of bridges (SingleEdge blocks)."""
+    return [b.edge_ids[0] for b in blocks(g) if b.tag == SINGLE_EDGE]
+
+
+def monomial_image(mono: Monomial) -> tuple[int, ...]:
+    """Exponent vector of the Laurent-monomial image: sum of exp * coords."""
+    acc = None
+    for p, exp in mono:
+        if acc is None:
+            acc = [exp * c for c in p.coords]
+        else:
+            for i, c in enumerate(p.coords):
+                acc[i] += exp * c
+    assert acc is not None
+    return tuple(acc)
+
+
+def is_balanced(b: Binomial) -> bool:
+    """Both sides of the binomial map to the same Laurent monomial."""
+    return monomial_image(b.lhs) == monomial_image(b.rhs)
 
 
 def brute_cycle_edge_sets(g: Multigraph) -> set[frozenset[int]]:
@@ -437,14 +486,34 @@ def unpacked_placing_pass(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
-    anchor: Sequence[int] = (),
+    anchor: Sequence[int] | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """The library's packed placing pass, at the width :func:`placed` ends
-    at, as (cell, inverse), the inverse decoded into integer rows, each
-    followed by the row times the anchor when given one: what the tuple-row
-    and scanning passes yield."""
-    _, cells = placed(g, order, budget, anchor, lambda pk, cell, inverse: (cell, pk.rows(inverse)))
-    return cells
+    """The library's packed placing pass as (cell, inverse), the inverse
+    decoded into integer rows, each followed by the row times the anchor:
+    the base anchor, or ``anchor`` when given.  That is what the tuple-row
+    pass yields given the same anchor, and, less the anchor entries
+    (:func:`anchor_free`), what it and the scanning pass yield without one.
+
+    As in ``triangulation.placed``, the pass runs at the narrow width and,
+    if an inverse entry leaves the window, again at Hadamard's width,
+    charging ``budget`` for both."""
+    bud = as_budget(budget)
+    coords = [p.coords for p in lattice_points(g)]
+    anchor = base_anchor(g) if anchor is None else anchor
+
+    def run(proven: bool) -> list:
+        pk = Packing(coords, anchor, proven)
+        return [(cell, pk.rows(inverse)) for cell, _, inverse in placing_pass(g, order, bud, pk)]
+
+    try:
+        return run(False)
+    except WidthOverflow:
+        return run(True)
+
+
+def anchor_free(cells: Iterable[tuple]) -> list[tuple]:
+    """(cell, inverse) pairs with the anchor entry dropped from each row."""
+    return [(cell, tuple(row[:-1] for row in inverse)) for cell, inverse in cells]
 
 
 @dataclass(frozen=True)
@@ -709,9 +778,17 @@ MAX_ANCHOR_RETRIES = 32
 def base_anchor_coords(g: Multigraph) -> list[Fraction]:
     """The exact coordinates, of sum 1, of the integer anchor of
     ``build_anchor``."""
-    q = _base_anchor(g)
+    q = base_anchor(g)
     total = sum(q)
     return [Fraction(c, total) for c in q]
+
+
+def primitive_point(q: Sequence[Fraction]) -> list[int]:
+    """The primitive integer vector on the ray of a rational point."""
+    scale = lcm(*(c.denominator for c in q))
+    ints = [int(c * scale) for c in q]
+    d = gcd(*ints)
+    return [c // d for c in ints]
 
 
 def perturbed_anchor(g: Multigraph, index: int) -> list[Fraction]:

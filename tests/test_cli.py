@@ -20,11 +20,17 @@ from cosmopoly.cli import (
     run,
     write_graph_text,
 )
-from cosmopoly.errors import Budget, CosmopolyError, GraphFileError, TheoremViolation
+from cosmopoly.errors import (
+    Budget,
+    CosmopolyError,
+    GraphFileError,
+    StructureViolation,
+    TheoremViolation,
+)
 from cosmopoly.grobner import default_good_order
 from cosmopoly.hstar import ONE, IntPolynomial
 from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
-from cosmopoly.sweep import enumerate_connected_multigraphs, sweep_graphs, verify_graph
+from cosmopoly.sweep import enumerate_connected_multigraphs, sweep_graphs, sweep_theta, verify_graph
 from cosmopoly.triangulation import build_triangulation
 
 
@@ -253,8 +259,10 @@ def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "error, code, prefix",
     [(TheoremViolation("degree"), EXIT_CHECK, "check failed: degree"),
+     (StructureViolation("edge 2 carries 0 strokes"), EXIT_CHECK,
+      "check failed: edge 2 carries 0 strokes"),
      (CosmopolyError("boom"), EXIT_INTERNAL, "error: boom")],
-    ids=["theorem-violation", "other-error"],
+    ids=["theorem-violation", "structure-violation", "other-error"],
 )
 def test_library_error_exit_codes(tmp_path, capsys, monkeypatch, error, code, prefix):
     def handler(g, args):
@@ -588,6 +596,17 @@ def test_conjecture_theta_sweep(capsys):
     code, out, _ = invoke(capsys, "conjecture", "theta", "--max-size", "5")
     assert code == EXIT_OK
     assert "0 violations" in out
+
+
+def test_theta_sweep_lists_each_case_once():
+    # every k <= l <= m with k + l + m <= N, in lexicographic order; a budget
+    # of 0 skips each case before it places a cell
+    for n in range(13):
+        cases = [(k, l, m) for k in range(1, n + 1) for l in range(k, n + 1)
+                 for m in range(l, n + 1) if k + l + m <= n]
+        findings = sweep_theta(n, budget=0)
+        assert [name for name, _ in findings] == [f"theta({k},{l},{m})" for k, l, m in cases]
+        assert {f.status for _, f in findings} <= {"SKIPPED"}
 
 
 @pytest.mark.parametrize("which", ["theta", "upper-bound", "statistic"])

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from cosmopoly.errors import WrongCardinality
 from cosmopoly.multigraph import single_edge
-from cosmopoly.polytope import point_by_name
 from cosmopoly.triangulation import fraction_free_basis, normalized_volume
 
-from oracles import solve_rational
+from oracles import point_by_name, solve_rational
 
 
 def identity(n):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import cosmopoly.hstar as hstar_module
 import cosmopoly.sweep as sweep_module
+import cosmopoly.triangulation as triangulation_module
 from cosmopoly.errors import (
     Budget,
     DisconnectedGraph,
@@ -71,6 +72,7 @@ from oracles import (
     ehrhart_all_dilates,
     perturbed_anchor,
     points_on_cell_facet_hyperplanes,
+    primitive_point,
     relabeled,
     small_multigraphs,
     two_pass_visibility,
@@ -166,7 +168,7 @@ def test_base_anchor_is_the_primitive_point_of_the_published_weights():
         nv, ne = g.vertex_count, len(g.edges)
         weights = [Fraction(2 * nv + 1, 2 * nv * (nv + 1))] * nv
         weights += [Fraction(1, 2 * ne * (nv + 1))] * ne
-        q = hstar_module._base_anchor(g)
+        q = triangulation_module.base_anchor(g)
         assert math.gcd(*q) == 1
         assert [Fraction(c, sum(q)) for c in q] == weights
 
@@ -215,15 +217,16 @@ def _spend(call, *args) -> int:
 
 
 def anchored_at(monkeypatch, g, order, q, budget):
-    """build_anchor with the anchor q, and the number of cells whose ties it
-    broke: a cell decodes its rows only for that."""
+    """build_anchor with the anchor q, carried as its primitive integer
+    vector, and the number of cells whose ties it broke: a cell decodes its
+    rows only for that."""
     decoded, rows = [], Packing.rows
 
     def decode(pk, inverse):
         decoded.append(inverse)
         return rows(pk, inverse)
 
-    monkeypatch.setattr(hstar_module, "_base_anchor", lambda g: q)
+    monkeypatch.setattr(triangulation_module, "base_anchor", lambda g: primitive_point(q))
     monkeypatch.setattr(Packing, "rows", decode)
     try:
         return build_anchor(g, order, budget), len(decoded)

@@ -24,7 +24,11 @@ calls = [
     ["hstar", diamond, "--method", "visibility"],
     ["hstar", tails, "--method", "ehrhart"],
     ["verify", diamond, "--json"],
+    ["triangulate", diamond, "--json", "--decorated", "--generators"],
+    ["volume", tails],
     ["conjecture", "upper-bound", "--max-size", "5"],
+    ["conjecture", "theta", "--max-size", "4"],
+    ["conjecture", "statistic", "--max-size", "5"],
 ]
 for argv in calls:
     code = cosmopoly.cli.run(argv)

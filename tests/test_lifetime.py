@@ -12,7 +12,7 @@ from itertools import islice
 
 import pytest
 
-import cosmopoly.hstar as hstar_module
+import cosmopoly.triangulation as triangulation_module
 from cosmopoly.cli import run
 from cosmopoly.hstar import build_anchor, hstar_ehrhart, hstar_visibility
 from cosmopoly.multigraph import (
@@ -23,33 +23,35 @@ from cosmopoly.multigraph import (
     theta_graph,
     triangle,
 )
-from cosmopoly.polytope import count_dilate_points
+from cosmopoly.polytope import count_dilate_points, lattice_points
 from cosmopoly.sweep import verify_graph
-from cosmopoly.triangulation import build_triangulation, placing_pass
+from cosmopoly.triangulation import Packing, build_triangulation, placing_pass
 
-from oracles import base_anchor_coords, points_on_cell_facet_hyperplanes
+from oracles import base_anchor_coords, points_on_cell_facet_hyperplanes, primitive_point
 
 
 def anchor_with_tie_broken_cells():
     """build_anchor whose anchor lies on a facet hyperplane of some cells, so
     that the tie-break decodes their rows."""
     g = triangle()
-    base = hstar_module._base_anchor
+    base = triangulation_module.base_anchor
     on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base_anchor_coords(g)))
-    hstar_module._base_anchor = lambda g: on_hyperplane
+    triangulation_module.base_anchor = lambda g: primitive_point(on_hyperplane)
     try:
         anchor = build_anchor(g)
     finally:
-        hstar_module._base_anchor = base
+        triangulation_module.base_anchor = base
     assert anchor.coords == tuple(on_hyperplane)
 
 
 def anchored_pass(cells=None):
     """The first ``cells`` cells of a placing pass that carries an anchor
-    column, all of them when None; a pass cut short is dropped part way."""
+    column of its own, all of them when None; a pass cut short is dropped
+    part way."""
     g = theta_graph(1, 1, 2)
     anchor = tuple(range(1, g.vertex_count + len(g.edges) + 1))
-    return list(islice(placing_pass(g, anchor=anchor), cells))
+    packing = Packing([p.coords for p in lattice_points(g)], anchor)
+    return list(islice(placing_pass(g, packing=packing), cells))
 
 
 CALLS = {

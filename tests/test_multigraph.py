@@ -11,7 +11,6 @@ from cosmopoly.multigraph import (
     SINGLE_EDGE,
     Multigraph,
     blocks,
-    bridges,
     bundle,
     connected_components,
     connected_subgraphs,
@@ -33,6 +32,7 @@ from cosmopoly.multigraph import (
 from cosmopoly.sweep import canonical_form, enumerate_connected_multigraphs
 
 from oracles import (
+    bridges,
     brute_block_partition,
     brute_connected_subgraphs,
     brute_cycle_edge_sets,

@@ -1,4 +1,3 @@
-import math
 import random
 import warnings
 
@@ -16,7 +15,7 @@ from cosmopoly.errors import (
 )
 from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
 from cosmopoly import triangulation
-from cosmopoly.hstar import _base_anchor, build_anchor
+from cosmopoly.hstar import build_anchor
 from cosmopoly.multigraph import (
     Multigraph,
     bundle,
@@ -37,12 +36,12 @@ from cosmopoly.polytope import (
     ZEDGE,
     ZVERTEX,
     lattice_points,
-    point_by_name,
 )
 from cosmopoly.sweep import enumerate_connected_multigraphs
 from cosmopoly.triangulation import (
     Packing,
     WidthOverflow,
+    base_anchor,
     build_triangulation,
     cells_from_masks,
     decorated_view,
@@ -53,9 +52,11 @@ from cosmopoly.triangulation import (
 
 from oracles import (
     ObstructionViolation,
+    anchor_free,
     brute_cells,
     enumerate_triangulation,
     matrix_rank,
+    point_by_name,
     scan_placing_pass,
     small_multigraphs,
     tuple_placing_pass,
@@ -231,7 +232,9 @@ def assert_matches_scan(g, order):
     # the same (cell, inverse) sequence as the pass that scans the boundary,
     # for fewer nodes: the boundary scans are no longer charged
     bud, scanned = Budget(None), Budget(None)
-    assert list(unpacked_placing_pass(g, order, bud)) == list(scan_placing_pass(g, order, scanned))
+    assert anchor_free(unpacked_placing_pass(g, order, bud)) == list(
+        scan_placing_pass(g, order, scanned)
+    )
     assert bud.used <= scanned.used
 
 
@@ -250,22 +253,17 @@ K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 LOOPED = [loop_graph(3), one_sum(bundle(2), loop_graph(2)), one_sum(triangle(), loop_graph(2))]
 
 
-def base_anchor(g):
-    # the integer anchor of build_anchor
-    q = _base_anchor(g)
-    scale = math.lcm(*(c.denominator for c in q))
-    return [int(c * scale) for c in q]
-
-
 def assert_matches_tuple_oracle(g, order, anchors=None):
     # the packed kernel decodes to the tuple-row pass, anchor column and all,
-    # and charges exactly its nodes
-    for anchor in anchors or ((), base_anchor(g)):
+    # and charges exactly its nodes; less the anchor column, it is the tuple
+    # pass that carries no anchor
+    plain = list(tuple_placing_pass(g, order))
+    for anchor in anchors or (base_anchor(g),):
         packed, tupled = Budget(None), Budget(None)
-        assert list(unpacked_placing_pass(g, order, packed, anchor)) == list(
-            tuple_placing_pass(g, order, tupled, anchor)
-        )
+        unpacked = unpacked_placing_pass(g, order, packed, anchor)
+        assert unpacked == list(tuple_placing_pass(g, order, tupled, anchor))
         assert packed.used == tupled.used > 0
+        assert anchor_free(unpacked) == plain
 
 
 @pytest.mark.parametrize("seed", [None, 1, 7])
@@ -281,22 +279,25 @@ def test_placing_pass_matches_tuple_oracle_on_random_good_orders():
 
 def test_placing_pass_takes_its_packing(monkeypatch):
     g = theta_graph(1, 1, 2)
-    anchor = base_anchor(g)
-    by_anchor, by_packing = Budget(None), Budget(None)
-    assert list(placing_pass(g, None, by_packing, Packing.of(g, anchor))) == list(
-        placing_pass(g, None, by_anchor, anchor)
+    by_default, by_packing = Budget(None), Budget(None)
+    assert list(placing_pass(g, None, by_packing, Packing.of(g))) == list(
+        placing_pass(g, None, by_default)
     )
-    assert by_packing.used == by_anchor.used
-    # build_anchor lays out one packing per anchor candidate, for the pass and its reads
+    assert by_packing.used == by_default.used
+    assert Packing.of(g).anchor == tuple(base_anchor(g))
+    # build_anchor and build_triangulation each lay out one packing, for the
+    # pass and its reads
     built, of = [], Packing.of.__func__
 
-    def counted(cls, g, anchor=(), proven=False):
-        built.append((anchor, proven))
-        return of(cls, g, anchor, proven)
+    def counted(cls, g, proven=False):
+        built.append(proven)
+        return of(cls, g, proven)
 
     monkeypatch.setattr(Packing, "of", classmethod(counted))
     assert build_anchor(g).perturbation_index == 0
-    assert built == [(anchor, False)]  # narrow, and no fallback
+    assert built == [False]  # narrow, and no fallback
+    build_triangulation(g)
+    assert built == [False, False]
 
 
 @pytest.mark.parametrize(
@@ -332,7 +333,7 @@ def test_packed_entries_and_dots_within_proven_bounds():
     for g in [*enumerate_connected_multigraphs(7), *LOOPED]:
         coords = [p.coords for p in lattice_points(g)]
         proven = Packing.of(g, proven=True)
-        for _, inverse in unpacked_placing_pass(g):
+        for _, inverse in anchor_free(unpacked_placing_pass(g)):
             entries = max(abs(a) for row in inverse for a in row)
             dots = max(abs(sum(a * c for a, c in zip(row, p))) for row in inverse for p in coords)
             assert entries <= proven.entry_bound and dots <= proven.digit_bound
@@ -349,7 +350,7 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
     # budget pays both runs
     g, order = theta_graph(2, 2, 2), default_good_order(theta_graph(2, 2, 2))
     anchor = base_anchor(g)
-    proven, pure = Packing.of(g, anchor, proven=True), Budget(None)
+    proven, pure = Packing.of(g, proven=True), Budget(None)
     reference = list(placing_pass(g, order, pure, proven))
     counts = [0] * len(anchor)
     for _, _, inverse in reference:
@@ -357,7 +358,7 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
     monkeypatch.setattr(triangulation, "WINDOW", window)
     partial, yielded = Budget(None), 0
     with pytest.raises(WidthOverflow):
-        for _ in placing_pass(g, order, partial, Packing.of(g, anchor)):
+        for _ in placing_pass(g, order, partial, Packing.of(g)):
             yielded += 1
     assert yielded == {(-1, 0): 0, (-2, 1): 144}[window]
     assert (partial.used > 0) == (yielded > 0)
@@ -367,9 +368,11 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
     assert point.masks == tuple(mask for _, mask, _ in reference)
     assert bud.used == partial.used + pure.used
     rows = [(cell, proven.rows(inverse)) for cell, _, inverse in reference]
-    assert unpacked_placing_pass(g, order, None, anchor) == rows
+    assert unpacked_placing_pass(g, order) == rows
     assert rows == list(tuple_placing_pass(g, order, None, anchor))
-    assert build_triangulation(g, order) == cells_from_masks(g, point.masks)
+    spent = Budget(None)
+    assert build_triangulation(g, order, spent) == cells_from_masks(g, point.masks)
+    assert spent.used == bud.used
 
 
 @pytest.mark.parametrize(
@@ -379,21 +382,22 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
 def test_narrow_width_places_without_fallback(g):
     # the graphs the commands and the benchmark place stay inside the
     # window; one that leaves it would place twice, at Hadamard's width
-    for _ in placing_pass(g, None, None, Packing.of(g, base_anchor(g))):
+    for _ in placing_pass(g, None, None, Packing.of(g)):
         pass
 
 
 def test_narrow_width_places_the_sweep_without_fallback():
     for g in enumerate_connected_multigraphs(7):
-        for _ in placing_pass(g, None, None, Packing.of(g, base_anchor(g))):
+        for _ in placing_pass(g, None, None, Packing.of(g)):
             pass
 
 
 def test_anchor_slots_widen_for_a_large_anchor():
     g = triangle()
     anchor = [3**40, -(2**90), 5, 7, 0, -1]
-    assert Packing.of(g).digits == 2 * 6 - 1
-    assert Packing.of(g, base_anchor(g)).digits < Packing.of(g, anchor).digits
+    coords = [p.coords for p in lattice_points(g)]
+    assert Packing(coords, [0] * 6).digits > 2 * 6 - 1
+    assert Packing.of(g).digits < Packing(coords, anchor).digits
     assert_matches_tuple_oracle(g, default_good_order(g), [anchor])
 
 
@@ -403,8 +407,8 @@ def test_placing_anchor_column_is_rows_times_anchor():
     for g, order in cases + [next(random_good_orders())]:
         m = g.vertex_count + len(g.edges)
         ints = [rng.randint(-9, 9) for _ in range(m)]
-        plain = list(unpacked_placing_pass(g, order))
-        carried = list(unpacked_placing_pass(g, order, anchor=ints))
+        plain = list(tuple_placing_pass(g, order))
+        carried = unpacked_placing_pass(g, order, anchor=ints)
         assert [cell for cell, _ in carried] == [cell for cell, _ in plain]
         for (_, inverse), (_, with_column) in zip(plain, carried):
             assert tuple(row[:m] for row in with_column) == inverse
@@ -418,15 +422,13 @@ def test_placing_rejects_bad_order_and_non_unimodular_pivot():
     with pytest.raises(BadTermOrder):
         build_triangulation(g, TermOrder(list(reversed(default_good_order(g).ranked))))
     # the identity cell of the unit vectors, pivoted on the points (-1, 1)
-    # and (2, 1) in slot 0, with and without the anchor (3, 5)
-    plain = Packing([(1, 0), (0, 1), (-1, 1), (2, 1)])
-    identity = plain.pack(((1, 0), (0, 1)))
-    assert plain.rows(plain.pivot(identity, 2, 0)) == ((-1, 0), (1, 1))
-    with pytest.raises(TheoremViolation):
-        plain.pivot(identity, 3, 0)
-    # the anchor entries are the rows times the anchor
+    # and (2, 1) in slot 0, with the anchor (3, 5)
     anchored = Packing([(1, 0), (0, 1), (-1, 1), (2, 1)], (3, 5))
-    inverse = anchored.pivot(anchored.pack(((1, 0, 3), (0, 1, 5))), 2, 0)
+    identity = anchored.pack(((1, 0, 3), (0, 1, 5)))
+    with pytest.raises(TheoremViolation):
+        anchored.pivot(identity, 3, 0)
+    # the anchor entries are the rows times the anchor
+    inverse = anchored.pivot(identity, 2, 0)
     assert anchored.rows(inverse) == ((-1, 0, -3), (1, 1, 8))
     assert anchored.negatives(inverse) == 1
     with pytest.raises(TheoremViolation):
