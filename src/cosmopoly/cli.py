@@ -64,8 +64,9 @@ def parse_graph_text(text: str) -> Multigraph:
     """Parse the edge-list format.
 
     '#' starts a comment; an optional first line ``vertices <n>`` fixes the
-    vertex count and switches endpoints to 0-based indices.  Edge lines are
-    ``u v`` with an optional ``*k`` multiplicity suffix; ``u u`` is a loop.
+    vertex count and switches endpoints to 0-based indices (a later ``vertices``
+    line is an error).  Edge lines are ``u v`` with an optional `` *k``
+    multiplicity suffix; no endpoint holds a ``*``, and ``u u`` is a loop.
     Without the header, all-integer endpoints are taken as 0-based indices,
     otherwise endpoints are labels resolved in first-appearance order.
     """
@@ -77,7 +78,9 @@ def parse_graph_text(text: str) -> Multigraph:
         if not line:
             continue
         tokens = line.split()
-        if not significant_seen and tokens[0] == "vertices":
+        if tokens[0] == "vertices":
+            if significant_seen:
+                raise GraphFileError(line_no, "'vertices <n>' must be the first line")
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise GraphFileError(line_no, "header must be 'vertices <n>'")
             header_count = int(tokens[1])
@@ -91,24 +94,20 @@ def parse_graph_text(text: str) -> Multigraph:
                 raise GraphFileError(line_no, f"bad multiplicity suffix {tokens[2]!r}")
             mult = int(suffix)
             tokens = tokens[:2]
-        if len(tokens) != 2:
+        if len(tokens) != 2 or any("*" in t for t in tokens):
             raise GraphFileError(line_no, f"expected 'u v [*k]', got {raw.strip()!r}")
         raw_edges.append((line_no, tokens[0], tokens[1], mult))
     if not raw_edges:
         raise GraphFileError(1, "no edges in file")
-
-    def is_index(tok: str) -> bool:
-        return tok.isdigit()
-
     index_mode = header_count is not None or all(
-        is_index(a) and is_index(b) for _, a, b, _ in raw_edges
+        a.isdigit() and b.isdigit() for _, a, b, _ in raw_edges
     )
     labels: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
     max_index = -1
     for line_no, a, b, mult in raw_edges:
         if index_mode:
-            if not (is_index(a) and is_index(b)):
+            if not (a.isdigit() and b.isdigit()):
                 raise GraphFileError(line_no, f"expected integer endpoints, got {a!r} {b!r}")
             u, v = int(a), int(b)
             if header_count is not None and (u >= header_count or v >= header_count):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Budget, as_budget
-from .multigraph import Cycle, Multigraph, simple_cycles, simple_paths
+from .multigraph import Cycle, Multigraph, Path, simple_cycles, simple_paths
 from .polytope import (
     LatticePoint,
     TPOINT,
@@ -87,20 +87,16 @@ def default_good_order(g: Multigraph, seed: int | None = None) -> TermOrder:
     """Lex order ranking forward y's (edge index ascending), backward y's
     (descending), then edge z's, t's and vertex z's, each ascending.
 
-    With ``seed`` the interior of each class is shuffled reproducibly, which
-    is useful for probing order dependence.  Either way the class ranking
-    holds, so every order returned passes :func:`is_good_order`.
+    Each class is read off :func:`lattice_points`, which lists every kind in
+    ascending index, so only the backward y's need reversing.  With ``seed``
+    the interior of each class is shuffled reproducibly, which is useful for
+    probing order dependence.  Either way the class ranking holds, so every
+    order returned passes :func:`is_good_order`.
     """
     pts = lattice_points(g)
-    by_kind: dict[str, list[LatticePoint]] = {}
-    for p in pts:
-        by_kind.setdefault(p.kind, []).append(p)
-    yf = sorted(by_kind.get(YFORWARD, []), key=lambda p: p.index)
-    yb = sorted(by_kind.get(YBACKWARD, []), key=lambda p: -p.index)
-    ze = sorted(by_kind.get(ZEDGE, []), key=lambda p: p.index)
-    tt = sorted(by_kind.get(TPOINT, []), key=lambda p: p.index)
-    zv = sorted(by_kind.get(ZVERTEX, []), key=lambda p: p.index)
-    classes = [yf, yb, ze, tt, zv]
+    kinds = (YFORWARD, YBACKWARD, ZEDGE, TPOINT, ZVERTEX)
+    classes = [[p for p in pts if p.kind == kind] for kind in kinds]
+    classes[1].reverse()
     if seed is not None:
         import random  # only a seeded order shuffles
 
@@ -110,21 +106,38 @@ def default_good_order(g: Multigraph, seed: int | None = None) -> TermOrder:
     return TermOrder([p for cls in classes for p in cls])
 
 
-def _vars_for_edge(g: Multigraph, points: list[LatticePoint]):
-    idx = {(p.kind, p.index): p for p in points}
-
-    def var(kind: str, index: int) -> LatticePoint:
-        return idx[(kind, index)]
-
-    return var
+def _variables(g: Multigraph) -> dict[tuple[str, int], LatticePoint]:
+    """Every variable of g, keyed by (kind, index)."""
+    return {(p.kind, p.index): p for p in lattice_points(g)}
 
 
-def _y_var(var, edge, i: int, j: int) -> LatticePoint:
-    """Variable of edge directed i -> j, relative to the stored endpoint order."""
-    if (i, j) == (edge.u, edge.v):
-        return var(YFORWARD, edge.id)
-    assert (j, i) == (edge.u, edge.v)
-    return var(YBACKWARD, edge.id)
+def _steps(var, g: Multigraph, walk: Path | Cycle) -> list[tuple[LatticePoint, ...]]:
+    """Per edge of a path or cycle, in walk order: its y along the walk, its
+    y against the walk and its z_edge.  The y along the edge a -> b is the
+    forward one when a is the edge's stored first endpoint."""
+    out = []
+    for a, e in zip(walk.vertices, walk.edges):
+        yf, yb, ze = var[YFORWARD, e], var[YBACKWARD, e], var[ZEDGE, e]
+        out.append((yf, yb, ze) if a == g.edges[e].u else (yb, yf, ze))
+    return out
+
+
+def _walk_binomial(steps, mask: int, lhs: list, rhs: list, family: str, witness: tuple) -> Binomial:
+    """The binomial that splits a walk's edges between ``lhs`` and ``rhs``,
+    which arrive holding whatever else each side carries.
+
+    A step a -> b whose bit of ``mask`` is set puts y(a -> b), along the
+    walk, on the left and its z_edge on the right; any other step puts
+    y(b -> a), against the walk, on the right and its z_edge on the left.
+    """
+    for i, (y_along, y_against, z_edge) in enumerate(steps):
+        if mask >> i & 1:
+            lhs.append(y_along)
+            rhs.append(z_edge)
+        else:
+            rhs.append(y_against)
+            lhs.append(z_edge)
+    return Binomial(monomial(lhs), monomial(rhs), family, witness)
 
 
 def fundamental_binomials(g: Multigraph) -> list[Binomial]:
@@ -133,18 +146,18 @@ def fundamental_binomials(g: Multigraph) -> list[Binomial]:
     For a loop the y-variables collapse onto the edge z-variable, so five of
     the six relations degenerate to zero or to relations in missing variables.
     """
-    var = _vars_for_edge(g, lattice_points(g))
+    var = _variables(g)
     out = []
     for e in g.edges:
-        zu = var(ZVERTEX, e.u)
-        zf = var(ZEDGE, e.id)
-        tf = var(TPOINT, e.id)
+        zu = var[ZVERTEX, e.u]
+        zf = var[ZEDGE, e.id]
+        tf = var[TPOINT, e.id]
         if e.is_loop:
             out.append(Binomial(monomial([tf, zf]), monomial([zu, zu]), FUNDAMENTAL, (e.id,)))
             continue
-        zv = var(ZVERTEX, e.v)
-        yf = var(YFORWARD, e.id)
-        yb = var(YBACKWARD, e.id)
+        zv = var[ZVERTEX, e.v]
+        yf = var[YFORWARD, e.id]
+        yb = var[YBACKWARD, e.id]
         pairs = [
             ([yf, yb], [zf, zf]),
             ([yf, tf], [zu, zu]),
@@ -162,68 +175,44 @@ def zigzag_binomials(g: Multigraph, budget: Budget | int | None = None) -> list[
     """One binomial per directed simple path of length >= 2 and per admissible
     edge partition (start edge on one side, end edge on the other; the 2^(k-2)
     middle assignments are free).
+
+    The left side holds the end vertex's z, the y toward the end of the start
+    edge and of middle edge i + 1 when bit i of the witness mask is set, and
+    the z_edge of every other edge.  The right side holds the start vertex's
+    z, the z_edge of those edges, and the y toward the start of the others.
     """
     bud = as_budget(budget)
-    var = _vars_for_edge(g, lattice_points(g))
+    var = _variables(g)
     out = []
     for path in simple_paths(g):
         k = len(path.edges)
-        steps = [
-            (path.vertices[i], path.vertices[i + 1], g.edges[path.edges[i]])
-            for i in range(k)
-        ]
-        z_start = var(ZVERTEX, path.vertices[0])
-        z_end = var(ZVERTEX, path.vertices[-1])
+        steps = _steps(var, g, path)
+        z_start = var[ZVERTEX, path.vertices[0]]
+        z_end = var[ZVERTEX, path.vertices[-1]]
         for mask in range(1 << (k - 2)):
             bud.spend(k)  # cost tracks monomial size
-            side1 = [0] + [i + 1 for i in range(k - 2) if mask >> i & 1]
-            in_side1 = [False] * k
-            for i in side1:
-                in_side1[i] = True
-            lhs = [z_end]
-            rhs = [z_start]
-            for i, (a, b, edge) in enumerate(steps):
-                if in_side1[i]:
-                    lhs.append(_y_var(var, edge, a, b))  # directed toward the end
-                    rhs.append(var(ZEDGE, edge.id))
-                else:
-                    rhs.append(_y_var(var, edge, b, a))  # directed toward the start
-                    lhs.append(var(ZEDGE, edge.id))
-            out.append(
-                Binomial(monomial(lhs), monomial(rhs), ZIGZAG, (path, mask))
-            )
+            b = _walk_binomial(steps, 1 | mask << 1, [z_end], [z_start], ZIGZAG, (path, mask))
+            out.append(b)
     return out
-
-
-def _cyclic_binomial(g: Multigraph, var, cycle: Cycle, mask: int) -> Binomial:
-    n = len(cycle.edges)
-    lhs: list[LatticePoint] = []
-    rhs: list[LatticePoint] = []
-    for i in range(n):
-        a = cycle.vertices[i]
-        b = cycle.vertices[(i + 1) % n]
-        edge = g.edges[cycle.edges[i]]
-        if mask >> i & 1:  # traversal side, oriented with the cycle
-            lhs.append(_y_var(var, edge, a, b))
-            rhs.append(var(ZEDGE, edge.id))
-        else:  # opposite side, oriented against the cycle
-            rhs.append(_y_var(var, edge, b, a))
-            lhs.append(var(ZEDGE, edge.id))
-    return Binomial(monomial(lhs), monomial(rhs), CYCLIC, (cycle, mask))
 
 
 def cyclic_binomials(g: Multigraph, budget: Budget | int | None = None) -> list[Binomial]:
     """All 2^len ordered partitions of every simple cycle (either side may be
     empty).  Reversing the cycle orientation only flips global signs across
     the partition lattice, so one orientation per cycle suffices.
+
+    A set bit i of the witness mask puts edge i's y along the cycle on the
+    left and its z_edge on the right; a clear one puts its y against the
+    cycle on the right and its z_edge on the left.
     """
     bud = as_budget(budget)
-    var = _vars_for_edge(g, lattice_points(g))
+    var = _variables(g)
     out = []
     for cycle in simple_cycles(g):
-        for mask in range(1 << len(cycle.edges)):
-            bud.spend(len(cycle.edges))
-            out.append(_cyclic_binomial(g, var, cycle, mask))
+        steps = _steps(var, g, cycle)
+        for mask in range(1 << len(steps)):
+            bud.spend(len(steps))
+            out.append(_walk_binomial(steps, mask, [], [], CYCLIC, (cycle, mask)))
     return out
 
 
@@ -239,13 +228,9 @@ def _class_ranked(order: TermOrder, g: Multigraph) -> bool:
     ranks: dict[str, list[int]] = {}
     for p in lattice_points(g):
         ranks.setdefault(p.kind, []).append(order.rank(p))
-    y_ranks = ranks.get(YFORWARD, []) + ranks.get(YBACKWARD, [])
-    if not y_ranks:
-        y_max = -1
-    else:
-        y_max = max(y_ranks)
-    z_min = min(ranks.get(ZEDGE, [10**9]) + ranks[ZVERTEX])
-    t_max = max(ranks.get(TPOINT, [-1]))
+    y_max = max(ranks.get(YFORWARD, []) + ranks.get(YBACKWARD, []), default=-1)
+    z_min = min(ranks.get(ZEDGE, []) + ranks[ZVERTEX])
+    t_max = max(ranks.get(TPOINT, []), default=-1)
     zv_min = min(ranks[ZVERTEX])
     return y_max < z_min and t_max < zv_min
 
@@ -260,15 +245,13 @@ def is_good_order(order: TermOrder, g: Multigraph, budget: Budget | int | None =
     for b in fundamental_binomials(g):
         if order.leading(b.lhs, b.rhs) is not b.lhs:
             return False
-    var = _vars_for_edge(g, lattice_points(g))
+    var = _variables(g)
     for cycle in simple_cycles(g):
         bud.spend(len(cycle.edges))
-        n = len(cycle.edges)
-        for mask in (0, (1 << n) - 1):
-            b = _cyclic_binomial(g, var, cycle, mask)
-            lead = order.leading(b.lhs, b.rhs)
-            y_side = b.lhs if all(p.kind in (YFORWARD, YBACKWARD) for p, _ in b.lhs) else b.rhs
-            if lead is not y_side:
+        steps = _steps(var, g, cycle)
+        for mask in (0, (1 << len(steps)) - 1):  # all z's on the left, then all y's
+            b = _walk_binomial(steps, mask, [], [], CYCLIC, (cycle, mask))
+            if order.leading(b.lhs, b.rhs) is not (b.lhs if mask else b.rhs):
                 return False
     return True
 
@@ -286,13 +269,8 @@ def obstruction_set(
     """Deduplicated leading-term supports of all three families, canonically
     sorted.  The caller is responsible for having verified the order is good."""
     bud = as_budget(budget)
-    seen: set[Obstruction] = set()
-    for b in fundamental_binomials(g):
-        seen.add(leading_support(b, order))
-    for b in zigzag_binomials(g, bud):
-        seen.add(leading_support(b, order))
-    for b in cyclic_binomials(g, bud):
-        seen.add(leading_support(b, order))
+    families = (fundamental_binomials(g), zigzag_binomials(g, bud), cyclic_binomials(g, bud))
+    seen = {leading_support(b, order) for family in families for b in family}
     return tuple(sorted(seen, key=lambda s: sorted(p.sort_key() for p in s)))
 
 
@@ -301,10 +279,10 @@ def reduced_generators(g: Multigraph) -> list[Binomial]:
     partition pair; a generating set of the toric ideal, exported for
     documentation rather than recomputed algebra."""
     out = list(fundamental_binomials(g))
-    var = _vars_for_edge(g, lattice_points(g))
+    var = _variables(g)
     for cycle in simple_cycles(g):
-        n = len(cycle.edges)
-        for mask in range(1 << n):
-            if mask & 1:  # fix the first edge's side to kill (C1,C2)/(C2,C1) twins
-                out.append(_cyclic_binomial(g, var, cycle, mask))
+        steps = _steps(var, g, cycle)
+        # odd masks fix the first edge's side, which kills (C1,C2)/(C2,C1) twins
+        for mask in range(1, 1 << len(steps), 2):
+            out.append(_walk_binomial(steps, mask, [], [], CYCLIC, (cycle, mask)))
     return out

@@ -342,7 +342,7 @@ def _hstar_block(
         return hstar_closed_bundle(block.multiplicity)
     if block.tag == MULTICYCLE:
         return hstar_closed_multicycle(block.multiplicities)
-    sub, _ = induced_by_edges(g, block.edge_ids)
+    sub = induced_by_edges(g, block.edge_ids)
     return hstar_visibility(sub, default_good_order(sub, seed=order_seed), budget)
 
 
@@ -369,7 +369,7 @@ def per_component(g: Multigraph, fn) -> IntPolynomial:
     for comp in connected_components(g):
         vertices = set(comp)
         edge_ids = [e.id for e in g.edges if e.u in vertices]
-        sub, _ = induced_by_edges(g, edge_ids)
+        sub = induced_by_edges(g, edge_ids)
         result = result * fn(sub)
     return result
 

@@ -32,9 +32,6 @@ class Edge(NamedTuple):
         """Unordered endpoint pair, smaller vertex first."""
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
-    def other(self, w: int) -> int:
-        return self.v if w == self.u else self.u
-
 
 class Multigraph:
     """A validated multigraph, compared and hashed by value.  Treat it as
@@ -206,17 +203,17 @@ def one_sum(g: Multigraph, h: Multigraph, v: int = 0, w: int = 0) -> Multigraph:
     return Multigraph.from_pairs(g.vertex_count + h.vertex_count - 1, pairs)
 
 
-def induced_by_edges(g: Multigraph, edge_ids: Sequence[int]) -> tuple[Multigraph, list[int]]:
+def induced_by_edges(g: Multigraph, edge_ids: Sequence[int]) -> Multigraph:
     """Standalone reindexed subgraph on the given edges.
 
-    Returns the subgraph and the list mapping new vertex indices to old ones.
-    Edge order follows ascending original edge id; endpoint orientation is kept.
+    Vertices keep their relative order.  Edge order follows ascending original
+    edge id; endpoint orientation is kept.
     """
     ids = sorted(edge_ids)
     vertices = sorted({w for i in ids for w in (g.edges[i].u, g.edges[i].v)})
     back = {old: new for new, old in enumerate(vertices)}
     pairs = [(back[g.edges[i].u], back[g.edges[i].v]) for i in ids]
-    return Multigraph.from_pairs(len(vertices), pairs), vertices
+    return Multigraph.from_pairs(len(vertices), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +279,10 @@ def _classify_block(g: Multigraph, edge_ids: list[int]) -> BlockClass:
         walk = [start]
         while cur != start:
             walk.append(cur)
-            a, b = sorted(neighbors[cur])
-            nxt = b if a == prev else a
+            (nxt,) = neighbors[cur] - {prev}
             prev, cur = cur, nxt
         if len(walk) == len(vertices):
-            key = lambda x, y: (x, y) if x <= y else (y, x)
-            mults = tuple(
-                mult[key(walk[i], walk[(i + 1) % len(walk)])] for i in range(len(walk))
-            )
+            mults = tuple(mult[min(a, b), max(a, b)] for a, b in zip(walk, walk[1:] + walk[:1]))
             return BlockClass(MULTICYCLE, vertices, ids, multiplicities=mults)
     return BlockClass(OTHER, vertices, ids)
 
@@ -312,42 +305,36 @@ def blocks(g: Multigraph) -> list[BlockClass]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, parent edge, scan pos
+        stack = [(root, -1, iter(adj[root]))]  # vertex, parent edge, neighbours left
         while stack:
-            v, parent_edge, pos = stack[-1]
-            moved = False
-            while pos < len(adj[v]):
-                w, eid = adj[v][pos]
-                pos += 1
+            v, parent_edge, todo = stack[-1]
+            for w, eid in todo:
                 if eid == parent_edge:
                     continue
                 if disc[w] == -1:
                     edge_stack.append(eid)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack[-1] = (v, parent_edge, pos)
-                    stack.append((w, eid, 0))
-                    moved = True
+                    stack.append((w, eid, iter(adj[w])))
                     break
                 if disc[w] < disc[v]:
                     edge_stack.append(eid)
                     if disc[w] < low[v]:
                         low[v] = disc[w]
-            if moved:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    comp = []
-                    while True:
-                        eid = edge_stack.pop()
-                        comp.append(eid)
-                        if eid == parent_edge:
-                            break
-                    comps.append(comp)
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        comp = []
+                        while True:
+                            eid = edge_stack.pop()
+                            comp.append(eid)
+                            if eid == parent_edge:
+                                break
+                        comps.append(comp)
 
     for e in g.edges:
         if e.is_loop:
@@ -448,36 +435,33 @@ def simple_paths(g: Multigraph) -> Iterator[Path]:
     """Directed simple paths of edge-length >= 2, with explicit edge choices.
 
     Both traversal directions of every underlying path are emitted, and
-    parallel edges give distinct paths.
+    parallel edges give distinct paths.  Paths come in depth-first preorder.
     """
     adj = g.adjacency()
-
-    def extend(vertices: list[int], edges: list[int], used: set[int]) -> Iterator[Path]:
-        v = vertices[-1]
-        for w, eid in adj[v]:
-            if w in used:
-                continue
-            vertices.append(w)
-            edges.append(eid)
-            used.add(w)
-            if len(edges) >= 2:
-                yield Path(tuple(vertices), tuple(edges))
-            yield from extend(vertices, edges, used)
-            used.discard(w)
-            vertices.pop()
-            edges.pop()
-
-    try:
-        for start in range(g.vertex_count):
-            yield from extend([start], [], {start})
-    finally:
-        del extend  # extend holds itself through its closure; free the search state now
+    for start in range(g.vertex_count):
+        vertices, edges, used = [start], [], {start}
+        stack = [iter(adj[start])]  # per path vertex, the neighbours left to try
+        while stack:
+            for w, eid in stack[-1]:
+                if w not in used:
+                    vertices.append(w)
+                    edges.append(eid)
+                    used.add(w)
+                    if len(edges) >= 2:
+                        yield Path(tuple(vertices), tuple(edges))
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                if edges:
+                    used.discard(vertices.pop())
+                    edges.pop()
 
 
 def simple_cycles(g: Multigraph) -> Iterator[Cycle]:
     """Cycles with distinct vertices: length >= 3 walks plus the 2-cycles formed
     by unordered pairs of parallel edges.  Loops are excluded.  Each cycle is
-    emitted once, with a fixed orientation.
+    emitted once, with a fixed orientation: a walk starts at its least vertex.
     """
     by_pair: dict[tuple[int, int], list[int]] = {}
     for e in g.edges:
@@ -489,24 +473,23 @@ def simple_cycles(g: Multigraph) -> Iterator[Cycle]:
                 yield Cycle((u, v), (ids[i], ids[j]))
 
     adj = g.adjacency()
-
-    def search(start: int, vertices: list[int], edges: list[int], used: set[int]) -> Iterator[Cycle]:
-        v = vertices[-1]
-        for w, eid in adj[v]:
-            if w == start and len(edges) >= 2:
-                if vertices[1] < vertices[-1]:  # keep one of the two directions
-                    yield Cycle(tuple(vertices), tuple(edges) + (eid,))
-            elif w > start and w not in used:
-                vertices.append(w)
-                edges.append(eid)
-                used.add(w)
-                yield from search(start, vertices, edges, used)
-                used.discard(w)
-                vertices.pop()
-                edges.pop()
-
-    try:
-        for start in range(g.vertex_count):
-            yield from search(start, [start], [], {start})
-    finally:
-        del search  # search holds itself through its closure; free the search state now
+    for start in range(g.vertex_count):
+        vertices, edges, used = [start], [], {start}
+        stack = [iter(adj[start])]  # per path vertex, the neighbours left to try
+        while stack:
+            for w, eid in stack[-1]:
+                if w == start:
+                    # closes the walk; keep one of its two directions
+                    if len(edges) >= 2 and vertices[1] < vertices[-1]:
+                        yield Cycle(tuple(vertices), tuple(edges) + (eid,))
+                elif w > start and w not in used:
+                    vertices.append(w)
+                    edges.append(eid)
+                    used.add(w)
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                if edges:
+                    used.discard(vertices.pop())
+                    edges.pop()

@@ -15,7 +15,9 @@ breaks no tie, and takes only the base anchor from the library; the box
 counter takes only the lattice points and facets, the cell search only the
 lattice points and an obstruction set, the dilate inversion only the
 dilate counts, which the box counter checks, and the two placing passes
-only the lattice points and the goodness check of the term order.
+only the lattice points and the goodness check of the term order.  The
+zig-zag and cyclic binomials are written out from their definitions on the
+brute-force path and cycle enumerators, as the point names on each side.
 
 The multicycle structure checker is no oracle: it tests the paper's
 structure lemma on the cells of multicycle triangulations, which no command
@@ -219,6 +221,67 @@ def brute_directed_paths(g: Multigraph) -> set[tuple[tuple[int, ...], tuple[int,
                         break
                 if ok and len(set(verts)) == len(verts):
                     out.add((tuple(verts), tuple(combo)))
+    return out
+
+
+def _split_walk(g: Multigraph, steps, along: set[int], lhs: list[str], rhs: list[str]):
+    """Sorted point names on each side of the binomial that puts, for the
+    walk step a -> b over edge e at position i, y(a -> b) on the left and z_e
+    on the right when i is in ``along``, else y(b -> a) on the right and z_e
+    on the left; y(a -> b) is forward when (a, b) is e's stored (u, v)."""
+    for i, (a, b, eid) in enumerate(steps):
+        e = g.edges[eid]
+        y_along, y_against = ("yf", "yb") if (a, b) == (e.u, e.v) else ("yb", "yf")
+        if i in along:
+            lhs.append(f"{y_along}{eid}")
+            rhs.append(f"ze{eid}")
+        else:
+            rhs.append(f"{y_against}{eid}")
+            lhs.append(f"ze{eid}")
+    return tuple(sorted(lhs)), tuple(sorted(rhs))
+
+
+def definition_zigzag_sides(g: Multigraph) -> Counter:
+    """Zig-zag binomials as (left, right) point-name multisets: per directed
+    simple path of length k >= 2 and per subset of its k - 2 middle edges,
+    the left holds the end vertex's z, the y toward the end of the start
+    edge and of the chosen middle edges, and the z_edge of every other edge;
+    the right holds the start vertex's z, the z_edge of those edges and the
+    y toward the start of every other edge."""
+    out: Counter = Counter()
+    for verts, eids in brute_directed_paths(g):
+        steps = list(zip(verts, verts[1:], eids))
+        middle = range(1, len(eids) - 1)
+        for r in range(len(middle) + 1):
+            for chosen in combinations(middle, r):
+                ends = [f"zv{verts[-1]}"], [f"zv{verts[0]}"]
+                out[_split_walk(g, steps, {0, *chosen}, *ends)] += 1
+    return out
+
+
+def definition_cyclic_sides(g: Multigraph) -> dict[tuple, Counter]:
+    """Cyclic binomials as (left, right) point-name multisets, for each cycle
+    edge set and each of its two orientations: every subset of the edges
+    puts their y along the orientation on the left with the z_edge of the
+    rest, and their z_edge on the right with the y of the rest against it.
+    Keyed by (edge set, a, b) where a -> b is the orientation on the cycle's
+    least edge."""
+    out = {}
+    for ids in brute_cycle_edge_sets(g):
+        first = g.edges[min(ids)]
+        steps = [(first.u, first.v, first.id)]
+        while len(steps) < len(ids):
+            at = steps[-1][1]
+            left = sorted(ids - {eid for _, _, eid in steps})
+            e = next(g.edges[i] for i in left if at in (g.edges[i].u, g.edges[i].v))
+            steps.append((at, e.v if e.u == at else e.u, e.id))
+        back = [(first.v, first.u, first.id)] + [(b, a, eid) for a, b, eid in reversed(steps[1:])]
+        for walk in (steps, back):
+            sides: Counter = Counter()
+            for r in range(len(walk) + 1):
+                for along in combinations(range(len(walk)), r):
+                    sides[_split_walk(g, walk, set(along), [], [])] += 1
+            out[ids, walk[0][0], walk[0][1]] = sides
     return out
 
 

@@ -87,6 +87,12 @@ def test_parse_errors_carry_line_numbers():
         parse_graph_text("# only comments\n")
     with pytest.raises(GraphFileError):
         parse_graph_text("vertices 3\n0 1\n")  # vertex 2 isolated
+    with pytest.raises(GraphFileError) as err:
+        parse_graph_text("0 1*2\n")  # not an edge to a vertex labelled 1*2
+    assert err.value.line_no == 1
+    with pytest.raises(GraphFileError) as err:
+        parse_graph_text("0 1\nvertices 3\n")  # not an edge between vertices and 3
+    assert err.value.line_no == 2
 
 
 def test_roundtrip_canonical_writer():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,12 +20,14 @@ from cosmopoly.grobner import (
     zigzag_binomials,
 )
 from cosmopoly.multigraph import (
+    Multigraph,
     bundle,
     loop_graph,
     multicycle,
     path_graph,
     single_edge,
     star_graph,
+    theta_graph,
     triangle,
 )
 from cosmopoly.polytope import (
@@ -35,7 +39,13 @@ from cosmopoly.polytope import (
 )
 from cosmopoly.sweep import enumerate_connected_multigraphs
 
-from oracles import is_balanced, monomial_image, small_multigraphs
+from oracles import (
+    definition_cyclic_sides,
+    definition_zigzag_sides,
+    is_balanced,
+    monomial_image,
+    small_multigraphs,
+)
 
 CORPUS = [
     single_edge(),
@@ -143,6 +153,29 @@ def test_cyclic_counts():
     assert len(cyclic_binomials(bundle(2))) == 4
     assert len(cyclic_binomials(triangle())) == 8
     assert cyclic_binomials(loop_graph(1)) == []
+
+
+def name_sides(b):
+    """Sorted point names on each side of b, one per unit of exponent."""
+    return tuple(
+        tuple(sorted(p.name for p, exp in side for _ in range(exp))) for side in (b.lhs, b.rhs)
+    )
+
+
+def test_walk_families_match_their_definition():
+    # counts and balance cannot see a side flipped; the point names on each side can
+    K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    for g in [*enumerate_connected_multigraphs(6), theta_graph(2, 2, 2), K4]:
+        assert Counter(map(name_sides, zigzag_binomials(g))) == definition_zigzag_sides(g), g
+        got: dict = {}
+        for b in cyclic_binomials(g):
+            cycle = b.witness[0]
+            i = cycle.edges.index(min(cycle.edges))
+            a, z = cycle.vertices[i], cycle.vertices[(i + 1) % len(cycle.edges)]
+            got.setdefault((frozenset(cycle.edges), a, z), Counter())[name_sides(b)] += 1
+        expected = definition_cyclic_sides(g)
+        assert len(got) == len(expected) // 2, g  # one orientation per cycle
+        assert got == {key: expected[key] for key in got}, g
 
 
 @pytest.mark.parametrize("g", CORPUS)
