@@ -17,13 +17,20 @@ beyond it.  Until that point is placed no point lies beyond the facet, so it
 stays on the boundary, and when it is placed the facet is visible; the
 facets filed under a point are thus exactly those it sees, in the order they
 were made.  A new facet no point still to come lies beyond is on the
-boundary of the polytope; it is dropped.  The points beyond a facet depend
-only on its facet functional, the facet's row of its cell's inverse, and
-far fewer functionals than facets turn up: 201 among the 9 247 new facets
-theta(2,2,2) files or drops.  So each functional is tested once against
-the points placed after the first cell, into a bit mask, and a facet is
-filed under the lowest bit of its functional's mask still to come.  The last point placed
-leaves no point to file a facet under, so its cells need no facet work.
+boundary of the polytope; it is dropped.  A cell keeps its points as the
+bits 1 << i by slot, so the facet omitting slot x is the cell's mask XOR
+that bit.  The points beyond a facet depend only on its facet functional,
+the facet's row of its cell's inverse, and far fewer functionals than
+facets turn up: 201 among the 9 247 new facets theta(2,2,2) files or
+drops.  So each new functional is tested against every point placed after
+the first cell in one product: those points are packed side by side, one
+to a block of 2m - 1 digits, and the row times them holds each dot product
+in a block of its own, whose sign bits mark the points beyond
+(:meth:`Packing.side_by_side`).  A facet is filed under the first such
+point at or after the current step, the lowest sign bit set above it.  The
+last point placed leaves no point to file a facet under, so its cells need
+no facet work.  The pass hands its cells over a step at a time: one batch
+for the first cell and one per point placed after it.
 
 Each inverse is one Python int, packed as small integers side by side in
 one register (SWAR).  Row x holds its m entries in the digits
@@ -238,6 +245,8 @@ class Packing:
         self.y_shift, self.y_mask = w * (m - 1), self.digit_mask * ones
         # the slots so read, less units[q], are C^-1 p less the unit vector e_q
         self.units = [self.half * ones + (1 << s * q) for q in range(m)]
+        # a row times a point fills 2m - 1 digits (see side_by_side)
+        self.block = w * (2 * m - 1)
         # an entry e is in the window [lo, lo + 2^k) iff its digit e + half,
         # plus -lo, is half in the bits above its k lowest: one add, one mask
         # (all three 0 in the proven layout, where the test always holds)
@@ -261,6 +270,24 @@ class Packing:
         return self.offset + sum(
             v << s * x + w * k for x, row in enumerate(rows) for k, v in enumerate(row)
         )
+
+    def side_by_side(self, indices: Sequence[int]) -> tuple[int, int, int]:
+        """The points ``indices`` packed side by side, point k in block k of
+        2m - 1 digits, with offsets for a packed row's field and the sign bit
+        of each block's digit m - 1: (points, offsets, signs).
+
+        A row's field ``r = inverse >> S x & row_mask`` times the points,
+        less its ``row_offset`` times them, holds in block k the digits of
+        row x times point k: digit m - 1 is their dot product and every
+        other digit a part of it, so once each digit is offset by 2^(w-1)
+        it is a w-bit field and no block borrows from the next.  The set
+        bits of ``~(r * points + offsets) & signs`` are then the blocks
+        whose point lies beyond the facet functional of the row."""
+        block, n = self.block, len(indices)
+        points = sum(self.points[i] << block * k for k, i in enumerate(indices))
+        ones = ((1 << block * n) - 1) // self.digit_mask  # a 1 in each digit of the blocks
+        signs = sum(1 << block * k + self.width * self.m - 1 for k in range(n))
+        return points, self.half * ones - self.row_offset * points, signs
 
     def rows(self, inverse: int) -> tuple[tuple[int, ...], ...]:
         """The rows of a packed inverse, each followed by its anchor entry."""
@@ -315,7 +342,8 @@ def placed(
     """The anchor the pass carried, the cells of :func:`placing_pass` as
     bit masks, in the order made, and the visibility histogram: ``counts[i]``
     cells have exactly i facets visible from the anchor
-    (:meth:`Packing.negatives`).
+    (:meth:`Packing.negatives`).  Both are collected a step's batch at a
+    time.
 
     The pass runs at the narrow width; if an inverse entry leaves
     :data:`WINDOW`, it runs again at Hadamard's width, and ``budget`` is
@@ -329,10 +357,11 @@ def placed(
         # coordinate sum 1, so the y_j sum to the coordinate sum of Q, which
         # is > 0, also after the tie-break's move, and at most m - 1 facets
         # of a cell are visible.
-        masks, counts = [], [0] * pk.m
-        for _, mask, inverse in placing_pass(g, order, bud, pk):
-            masks.append(mask)
-            counts[pk.negatives(inverse)] += 1
+        masks, counts, negatives = [], [0] * pk.m, pk.negatives
+        for batch in placing_pass(g, order, bud, pk):
+            for _, mask, inverse in batch:
+                masks.append(mask)
+                counts[negatives(inverse)] += 1
         return pk.anchor, masks, counts
 
     try:
@@ -346,19 +375,21 @@ def placing_pass(
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
     packing: Packing | None = None,
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield the cells of :func:`build_triangulation` as they are made, as
-    (cell, mask, inverse): the point indices by slot, the same as a bit
-    mask, and the cell's integer inverse, whose row q is the facet
-    functional opposite slot q, 1 on its point.  The inverse is one int in
-    the layout ``packing``, ``Packing.of(g)`` when None: row x in the digits
-    xS .. xS + m - 1, each of w bits and offset by 2^(w-1), and then the
-    row times the layout's anchor, in a field just above its entries.  A
-    caller that reads the inverses passes the layout, so that it is built
-    once, and decodes an inverse with ``Packing.rows``.
+) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
+    """Yield the cells of :func:`build_triangulation` a step at a time: one
+    list holding the first cell, then one list per point placed after it,
+    of the cells coned from that point.  A cell is
+    (bits, mask, inverse): the bit ``1 << i`` of each of its point indices
+    i by slot, their sum as a bit mask, and the cell's integer inverse,
+    whose row q is the facet functional opposite slot q, 1 on its point.
+    The inverse is one int in the layout ``packing``, ``Packing.of(g)`` when
+    None: row x in the digits xS .. xS + m - 1, each of w bits and offset by
+    2^(w-1), and then the row times the layout's anchor, in a field just
+    above its entries.  A caller that reads the inverses passes the layout,
+    so that it is built once, and decodes an inverse with ``Packing.rows``.
 
     The narrow layout raises :class:`WidthOverflow` once an entry leaves
-    :data:`WINDOW`, after yielding the cells before it; :func:`placed` then
+    :data:`WINDOW`, after yielding the steps before it; :func:`placed` then
     places again at the proven width.
 
     The first cell is the first basis :func:`fraction_free_basis` fills
@@ -386,44 +417,45 @@ def placing_pass(
     # omitting cell[q], that rest[k] is the first point still to come to lie
     # beyond; a facet is the mask of its points
     visible: list[list[tuple]] = [[] for _ in rest]
-    # new cells, with the slot of the point just placed
-    inverse = pk.pack([[det * a for a in row] for row in inverse])
-    made = [(tuple(first), sum(1 << i for i in first), inverse, -1)]
-    packed = [pk.points[i] for i in rest]
-    slot, row_mask, row_offset = pk.slot, pk.row_mask, pk.row_offset
-    sign = 1 << pk.width * m - 1  # of digit m - 1 of a row times a point: their dot product
-    # a facet functional, as a packed row, -> the mask of the rest points beyond it
+    cell = tuple(1 << i for i in first)
+    made = [(cell, sum(cell), pk.pack([[det * a for a in row] for row in inverse]))]
+    # one product of a facet functional with the rest points tests it on each
+    together, offsets, signs = pk.side_by_side(rest)
+    block, sign = pk.block, pk.width * m - 1
+    slot, row_mask, pivot = pk.slot, pk.row_mask, pk.pivot
+    # a facet functional, as a row's field, -> the sign bits of the rest points beyond it
     beyond: dict[int, int] = {}
+    # the bit of the point just placed: a new cell's facet omitting it is the
+    # visible facet the cell was coned over, inside the polytope now
+    bit = 0
     for step, p in enumerate(rest):
+        yield made
         fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
-        for cell, mask, inv, q in made:
-            yield cell, mask, inv
-            for x, i in enumerate(cell):
-                if x != q and fresh.pop(facet := mask ^ 1 << i, None) is None:
+        for cell, mask, inv in made:
+            for x, b in enumerate(cell):
+                if b != bit and fresh.pop(facet := mask ^ b, None) is None:
                     fresh[facet] = (cell, inv, x)
-        left, tested = len(rest) - step, 0
+        left, tested, shift = len(rest) - step, 0, sign + step * block
         for facet, (cell, inv, x) in fresh.items():
-            row = (inv >> slot * x & row_mask) - row_offset
+            row = inv >> slot * x & row_mask
             ahead = beyond.get(row)
             if ahead is None:
-                ahead = beyond[row] = sum(
-                    1 << k for k, c in enumerate(packed) if not (row * c + row_offset) & sign
-                )
-            ahead >>= step
+                ahead = beyond[row] = ~(row * together + offsets) & signs
+            ahead >>= shift
             if ahead:
-                n = (ahead & -ahead).bit_length()  # the points tested, the first beyond
-                visible[step + n - 1].append((facet, cell, inv, x))
-                tested += n
+                n = (ahead & -ahead).bit_length() // block  # the points before the first beyond
+                visible[step + n].append((facet, cell, inv, x))
+                tested += n + 1
             else:
                 tested += left
         bud.spend(tested)
         bud.spend(len(visible[step]))
-        made = [(cell[:q] + (p,) + cell[q + 1 :], facet | 1 << p, pk.pivot(inv, p, q), q)
+        bit = 1 << p
+        made = [(cell[:q] + (bit,) + cell[q + 1 :], facet | bit, pivot(inv, p, q))
                 for facet, cell, inv, q in visible[step]]
         visible[step] = []
     # the last point placed leaves no point to file a new facet under
-    for cell, mask, inv, _ in made:
-        yield cell, mask, inv
+    yield made
 
 
 def fraction_free_basis(
@@ -439,19 +471,23 @@ def fraction_free_basis(
     on those before it and is left over.  Returns (first, det, rows):
     ``first[q]`` indexes the point in slot q, -1 if the slot stayed empty;
     ``det`` is the determinant of the basis, and the rows stay ``det``
-    times its inverse, so every division is exact.
+    times its inverse, so every division is exact.  Only a point's nonzero
+    coordinates are read, and a row whose entry is 0 is left as it is when
+    the pivot equals ``det``, where the update is the identity.
     """
     m = len(rows)
     det, first = 1, [-1] * m
     for i, p in enumerate(points):
-        y = [sum(a * c for a, c in zip(row, p)) for row in rows]
+        nonzero = [(k, c) for k, c in enumerate(p) if c]
+        y = [sum(row[k] * c for k, c in nonzero) for row in rows]
         q = next((x for x in range(m) if first[x] < 0 and y[x]), None)
         if q is None:
             continue
-        first[q], lead = i, rows[q]
-        rows = [tuple([(y[q] * a - y[x] * b) // det for a, b in zip(row, lead)])
-                for x, row in enumerate(rows)]
-        rows[q], det = lead, y[q]
+        first[q], lead, yq = i, rows[q], y[q]
+        rows = [row if not yx and yq == det
+                else tuple([(yq * a - yx * b) // det for a, b in zip(row, lead)])
+                for row, yx in zip(rows, y)]
+        rows[q], det = lead, yq
         if -1 not in first:
             break
     return first, det, rows

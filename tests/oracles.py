@@ -8,8 +8,10 @@ obstruction-avoiding cell search, the inversion of all dilates and the
 boundary-scanning placing pass are the routes that the visibility tally
 read off the placing inverses, the IDP sumset, the placing triangulation,
 the reciprocity halves of the Ehrhart route and the conflict lists of the
-placing pass replaced, and the tuple-row placing pass is the route the
-packed-integer kernel replaced.  The visibility oracle keeps the anchor
+placing pass replaced, the tuple-row placing pass is the route the
+packed-integer kernel replaced, and the per-point scan of a facet
+functional is the test that one product of the functional with every point
+still to come replaced.  The visibility oracle keeps the anchor
 perturbation schedule that the lexicographic tie-break replaced, so it
 breaks no tie, and takes only the base anchor from the library; the box
 counter takes only the lattice points and facets, the cell search only the
@@ -545,6 +547,35 @@ def _tuple_pivot(inverse: tuple, y: list[int], q: int) -> tuple:
     )
 
 
+def pass_cells(
+    g: Multigraph,
+    order: TermOrder | None = None,
+    budget: Budget | int | None = None,
+    packing: Packing | None = None,
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The library's placing pass a cell at a time, as (cell, mask,
+    inverse): its step batches flattened, and each cell's point bits by
+    slot decoded to point indices.  The pass is read as it runs, so a
+    caller that stops early drops it part way."""
+    for batch in placing_pass(g, order, budget, packing):
+        for bits, mask, inverse in batch:
+            yield tuple(b.bit_length() - 1 for b in bits), mask, inverse
+
+
+def scan_beyond(pk: Packing, row: int, indices: Sequence[int]) -> int:
+    """The points ``indices`` that lie beyond the facet functional of a
+    packed row's field ``row`` (``inverse >> S x & row_mask``), as a bit
+    mask by position: each point tested on its own, one multiplication per
+    point, as the placing pass did before one product tested them all.
+    Digit m - 1 of the row times a packed point is their dot product, and
+    its offset sign bit is clear iff it is negative."""
+    row -= pk.row_offset
+    sign = 1 << pk.width * pk.m - 1
+    return sum(
+        1 << k for k, i in enumerate(indices) if not (row * pk.points[i] + pk.row_offset) & sign
+    )
+
+
 def unpacked_placing_pass(
     g: Multigraph,
     order: TermOrder | None = None,
@@ -566,7 +597,7 @@ def unpacked_placing_pass(
 
     def run(proven: bool) -> list:
         pk = Packing(coords, anchor, proven)
-        return [(cell, pk.rows(inverse)) for cell, _, inverse in placing_pass(g, order, bud, pk)]
+        return [(cell, pk.rows(inverse)) for cell, _, inverse in pass_cells(g, order, bud, pk)]
 
     try:
         return run(False)

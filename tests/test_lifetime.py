@@ -28,9 +28,14 @@ from cosmopoly.multigraph import (
 )
 from cosmopoly.polytope import count_dilate_points, lattice_points
 from cosmopoly.sweep import verify_graph
-from cosmopoly.triangulation import Packing, build_triangulation, placing_pass
+from cosmopoly.triangulation import Packing, build_triangulation
 
-from oracles import base_anchor_coords, points_on_cell_facet_hyperplanes, primitive_point
+from oracles import (
+    base_anchor_coords,
+    pass_cells,
+    points_on_cell_facet_hyperplanes,
+    primitive_point,
+)
 
 
 def anchor_with_tie_broken_cells():
@@ -54,7 +59,7 @@ def anchored_pass(cells=None):
     g = theta_graph(1, 1, 2)
     anchor = tuple(range(1, g.vertex_count + len(g.edges) + 1))
     packing = Packing([p.coords for p in lattice_points(g)], anchor)
-    return list(islice(placing_pass(g, packing=packing), cells))
+    return list(islice(pass_cells(g, packing=packing), cells))
 
 
 CALLS = {

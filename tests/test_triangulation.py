@@ -56,7 +56,9 @@ from oracles import (
     brute_cells,
     enumerate_triangulation,
     matrix_rank,
+    pass_cells,
     point_by_name,
+    scan_beyond,
     scan_placing_pass,
     small_multigraphs,
     tuple_placing_pass,
@@ -222,7 +224,7 @@ def test_cells_from_masks_sorts_as_the_decoded_indices():
     rng = random.Random(2)
     for g in enumerate_connected_multigraphs(7):
         points = lattice_points(g)
-        masks = [mask for _, mask, _ in placing_pass(g)]
+        masks = [mask for _, mask, _ in pass_cells(g)]
         rng.shuffle(masks)
         by_index = sorted(tuple(i for i in range(len(points)) if c >> i & 1) for c in masks)
         assert cells_from_masks(g, masks) == [tuple(points[i] for i in c) for c in by_index]
@@ -280,8 +282,8 @@ def test_placing_pass_matches_tuple_oracle_on_random_good_orders():
 def test_placing_pass_takes_its_packing(monkeypatch):
     g = theta_graph(1, 1, 2)
     by_default, by_packing = Budget(None), Budget(None)
-    assert list(placing_pass(g, None, by_packing, Packing.of(g))) == list(
-        placing_pass(g, None, by_default)
+    assert list(pass_cells(g, None, by_packing, Packing.of(g))) == list(
+        pass_cells(g, None, by_default)
     )
     assert by_packing.used == by_default.used
     assert Packing.of(g).anchor == tuple(base_anchor(g))
@@ -306,6 +308,60 @@ def test_placing_pass_takes_its_packing(monkeypatch):
 )
 def test_placing_pass_matches_tuple_oracle(g):
     assert_matches_tuple_oracle(g, default_good_order(g))
+
+
+PLACED = [*enumerate_connected_multigraphs(7), *LOOPED, theta_graph(2, 2, 2), K4]
+
+
+def points_after_first_cell(g, first):
+    """The points not in the first cell, in placing order under the default
+    order: the points the pass places one step each."""
+    points, order = lattice_points(g), default_good_order(g)
+    placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
+    return [i for i in placing if i not in first]
+
+
+def test_placing_pass_yields_one_batch_per_step():
+    # one batch holding the first cell, then one per point placed after it,
+    # holding the cells coned from that point
+    for g in PLACED:
+        (first, *later) = placing_pass(g)
+        ((bits, mask, _),) = first
+        rest = points_after_first_cell(g, [b.bit_length() - 1 for b in bits])
+        assert len(later) == len(lattice_points(g)) - len(bits) == len(rest)
+        assert mask == sum(bits)
+        for p, batch in zip(rest, later):
+            for bits, mask, _ in batch:
+                assert 1 << p in bits and mask == sum(bits)
+
+
+@pytest.mark.parametrize("proven", [False, True], ids=["narrow", "proven"])
+def test_one_product_finds_the_points_beyond_each_functional(proven):
+    # every facet functional the pass meets is a row of a cell's inverse; one
+    # product of its field with the points still to come, laid side by side,
+    # holds in each block the row times one point, offset in every digit as
+    # if multiplied alone, and marks in its sign bits the points that the
+    # per-point scan finds beyond it
+    met = beyond = 0
+    for g in PLACED:
+        pk = Packing.of(g, proven)
+        cells = list(pass_cells(g, None, None, pk))
+        rest = points_after_first_cell(g, cells[0][0])
+        together, offsets, signs = pk.side_by_side(rest)
+        sign, block_mask = pk.width * pk.m - 1, (1 << pk.block) - 1
+        alone = pk.half * sum(1 << pk.width * d for d in range(2 * pk.m - 1))
+        rows = {inv >> pk.slot * x & pk.row_mask for _, _, inv in cells for x in range(pk.m)}
+        for row in rows:
+            product = row * together + offsets
+            for k, i in enumerate(rest):
+                block = product >> pk.block * k & block_mask
+                assert block == (row - pk.row_offset) * pk.points[i] + alone
+            spread = ~product & signs
+            read = sum(1 << k for k in range(len(rest)) if spread >> pk.block * k + sign & 1)
+            assert read == scan_beyond(pk, row, rest)
+            beyond += read > 0
+        met += len(rows)
+    assert 0 < beyond < met
 
 
 @pytest.mark.parametrize(
@@ -351,14 +407,14 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
     g, order = theta_graph(2, 2, 2), default_good_order(theta_graph(2, 2, 2))
     anchor = base_anchor(g)
     proven, pure = Packing.of(g, proven=True), Budget(None)
-    reference = list(placing_pass(g, order, pure, proven))
+    reference = list(pass_cells(g, order, pure, proven))
     counts = [0] * len(anchor)
     for _, _, inverse in reference:
         counts[proven.negatives(inverse)] += 1
     monkeypatch.setattr(triangulation, "WINDOW", window)
     partial, yielded = Budget(None), 0
     with pytest.raises(WidthOverflow):
-        for _ in placing_pass(g, order, partial, Packing.of(g)):
+        for _ in pass_cells(g, order, partial, Packing.of(g)):
             yielded += 1
     assert yielded == {(-1, 0): 0, (-2, 1): 144}[window]
     assert (partial.used > 0) == (yielded > 0)
@@ -382,13 +438,13 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
 def test_narrow_width_places_without_fallback(g):
     # the graphs the commands and the benchmark place stay inside the
     # window; one that leaves it would place twice, at Hadamard's width
-    for _ in placing_pass(g, None, None, Packing.of(g)):
+    for _ in pass_cells(g, None, None, Packing.of(g)):
         pass
 
 
 def test_narrow_width_places_the_sweep_without_fallback():
     for g in enumerate_connected_multigraphs(7):
-        for _ in placing_pass(g, None, None, Packing.of(g)):
+        for _ in pass_cells(g, None, None, Packing.of(g)):
             pass
 
 
