@@ -12,12 +12,25 @@ over coordinates; ``tests/oracles.py`` keeps a facet-pruned box search that
 does not assume IDP as the reference.  One run builds S_1..S_T, each from
 the one before, and tells interior points by a zero-facet mask carried with
 every point, so no point is ever decoded back to coordinates.
+
+Each sum is formed once per multiset of summands, not once per ordering.
+Number the lattice points c_0, c_1, ... and label a sum s of S_(t-1) by
+mu(s), the least j such that s is a sum of t-1 points of index at most j.
+Then S_t = {s + c_j : j >= mu(s)}: a point x of S_t is a sum of t points,
+and if j is the largest index among them, s = x - c_j has mu(s) <= j.  A
+level is kept as a dict in mu order, so the sums point j is added to are a
+prefix of it.  The zero-facet masks are read off the subgraphs that witness
+the facets, with no dot product: facet H, of subgraph (V_H, E_H), vanishes
+on z_v iff v is not in V_H; on z_e iff e is in E_H or neither end of e is
+in V_H; on t_e iff e is not in E_H; on yf_e iff e is in E_H or its first
+end is not in V_H; and on yb_e iff e is in E_H or its second end is not.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .errors import Budget, DisconnectedGraph, as_budget
@@ -143,7 +156,9 @@ def count_dilate_points(g: Multigraph, t: int, budget: Budget | int | None = Non
     The polytope has a unimodular triangulation, so it is IDP: every lattice
     point of tP is a sum of t lattice points of P, and N(t) is the size of
     the t-fold sumset of :func:`lattice_points`.  Building the k-th sumset
-    from the (k-1)-th spends |S_(k-1)| * |lattice points| budget nodes.
+    from the (k-1)-th spends |S_(k-1)| * |lattice points| budget nodes, an
+    upper bound on the sums it forms: each point is added only to the sums
+    whose largest summand comes no later than it does.
     """
     *_, (count, _) = _sumsets(g, t, budget, interior=False)
     return count
@@ -157,14 +172,46 @@ def count_interior_points(g: Multigraph, t: int, budget: Budget | int | None = N
     return interior
 
 
+def _zero_facet_masks(g: Multigraph, facets: list[FacetInequality]) -> list[int]:
+    """For each lattice point, in :func:`lattice_points` order, the mask with
+    bit f set iff ``facets[f]`` is 0 there, read off the facet subgraphs by
+    the vanishing rules of the module docstring."""
+    full = (1 << len(facets)) - 1
+    # bit f of in_v[v] (in_e[e]) is set iff vertex v (edge e) is in facet f's subgraph
+    in_v = [0] * g.vertex_count
+    in_e = [0] * len(g.edges)
+    for f, facet in enumerate(facets):
+        for v in facet.subgraph_vertices:
+            in_v[v] |= 1 << f
+        for e in facet.subgraph_edges:
+            in_e[e] |= 1 << f
+    proper = [e for e in g.edges if not e.is_loop]
+    return [
+        *(full ^ bits for bits in in_v),
+        *(in_e[e.id] | full ^ (in_v[e.u] | in_v[e.v]) for e in g.edges),
+        *(full ^ in_e[e.id] for e in g.edges),
+        *(in_e[e.id] | full ^ in_v[e.u] for e in proper),
+        *(in_e[e.id] | full ^ in_v[e.v] for e in proper),
+    ]
+
+
 def _sumsets(
     g: Multigraph, top: int, budget: Budget | int | None, interior: bool
 ) -> Iterator[tuple[int, int | None]]:
     """Yield (N(t), N°(t)) for t = 0..top, building each sumset S_t once from
     S_(t-1); N°(t) is None unless ``interior``.
 
-    Step t spends |S_(t-1)| * |lattice points| budget nodes, and ``interior``
-    adds the facet scan before the first step.
+    S_t is {s + c_j : s in S_(t-1), j >= mu(s)}, where mu(s) is the least
+    j such that s is a sum of t-1 lattice points of index at most j; this
+    misses no point, as a sum x of t points is formed from s = x - c_j,
+    with c_j its summand of largest index.  Points are added in rising j
+    to a dict, whose insertion order is then mu order, so point j is added
+    to a prefix of S_(t-1), of the length the dict had after point j was
+    added to S_(t-2).
+
+    Step t spends |S_(t-1)| * |lattice points| budget nodes, an upper bound
+    on the sums it forms, and ``interior`` adds the facet scan before the
+    first step.
     """
     if top < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -181,27 +228,38 @@ def _sumsets(
     lo = min(min(x[:-1]) for x in pts)
     base = top * (max(max(x[:-1]) for x in pts) - lo) + 1
     codes = [sum(c * base**k for k, c in enumerate(x[:-1])) for x in pts]
+    # S_0 = {0}, with mu(0) = 0: every point is added to it
+    ends = [1] * len(codes)
     if not interior:
-        sums = {0}
+        sums = {0: None}
         yield 1, None
-        for _ in range(top):
+        for t in range(1, top + 1):
             bud.spend(len(sums) * len(codes))
-            sums = {s + c for s in sums for c in codes}
+            if t == top:  # only its size is read
+                yield len({s + c for c, end in zip(codes, ends) for s in islice(sums, end)}), None
+                return
+            level, sums, grown = sums, {}, []
+            for c, end in zip(codes, ends):
+                for s in islice(level, end):
+                    sums[s + c] = None
+                grown.append(len(sums))
+            ends = grown
             yield len(sums), None
         return
     # A point's zero-facet mask has bit f set iff facet f is 0 there.  Facet
     # values are >= 0 on P, so a sum is 0 on a facet iff every summand is:
-    # the mask of a sum is the AND of its summands' masks, and a point of a
-    # dilate is interior iff its mask is 0.
-    normals = [f.normal for f in facet_inequalities(g, bud)]
-    masks = [
-        sum(1 << f for f, normal in enumerate(normals) if not sum(map(operator.mul, normal, x)))
-        for x in pts
-    ]
-    steps = list(zip(codes, masks))
-    sums = {0: (1 << len(normals)) - 1}
+    # the mask of a sum is the AND of its summands' masks, the same for every
+    # way of forming it, and a point of a dilate is interior iff its mask is 0.
+    facets = facet_inequalities(g, bud)
+    masks = _zero_facet_masks(g, facets)
+    sums = {0: (1 << len(facets)) - 1}
     yield 1, 0
     for _ in range(top):
-        bud.spend(len(sums) * len(steps))
-        sums = {s + c: m & n for s, m in sums.items() for c, n in steps}
+        bud.spend(len(sums) * len(codes))
+        level, sums, grown = sums.items(), {}, []
+        for c, m, end in zip(codes, masks, ends):
+            for s, n in islice(level, end):
+                sums[s + c] = m & n
+            grown.append(len(sums))
+        ends = grown
         yield len(sums), operator.countOf(sums.values(), 0)

@@ -9,17 +9,20 @@ boundary-scanning placing pass are the routes that the visibility tally
 read off the placing inverses, the IDP sumset, the placing triangulation,
 the reciprocity halves of the Ehrhart route and the conflict lists of the
 placing pass replaced, the tuple-row placing pass is the route the
-packed-integer kernel replaced, and the per-point scan of a facet
-functional is the test that one product of the functional with every point
-still to come replaced.  The visibility oracle keeps the anchor
-perturbation schedule that the lexicographic tie-break replaced, so it
-breaks no tie, and takes only the base anchor from the library; the box
-counter takes only the lattice points and facets, the cell search only the
-lattice points and an obstruction set, the dilate inversion only the
-dilate counts, which the box counter checks, and the two placing passes
-only the lattice points and the goodness check of the term order.  The
-zig-zag and cyclic binomials are written out from their definitions on the
-brute-force path and cycle enumerators, as the point names on each side.
+packed-integer kernel replaced, the per-point scan of a facet functional is
+the test that one product of the functional with every point still to come
+replaced, and the pairwise sumset, with its zero-facet masks by dot
+products, is the sumset that forms each sum once per multiset of summands,
+with its masks read off the facet subgraphs, replaced.  The visibility
+oracle keeps the anchor perturbation schedule that the lexicographic
+tie-break replaced, so it breaks no tie, and takes only the base anchor
+from the library; the box counter and the pairwise sumset take only the
+lattice points and facets, the cell search only the lattice points and an
+obstruction set, the dilate inversion only the dilate counts, which the box
+counter checks, and the two placing passes only the lattice points and the
+goodness check of the term order.  The zig-zag and cyclic binomials are
+written out from their definitions on the brute-force path and cycle
+enumerators, as the point names on each side.
 
 The multicycle structure checker is no oracle: it tests the paper's
 structure lemma on the cells of multicycle triangulations, which no command
@@ -60,6 +63,7 @@ from cosmopoly.grobner import (
 from cosmopoly.hstar import IntPolynomial
 from cosmopoly.multigraph import SINGLE_EDGE, Multigraph, blocks, is_connected, multicycle_layout
 from cosmopoly.polytope import (
+    FacetInequality,
     LatticePoint,
     count_dilate_points,
     dimension,
@@ -1039,6 +1043,53 @@ def box_count_points(g: Multigraph, t: int, strict: bool, budget: Budget | int |
     finally:
         del rec  # rec holds itself through its closure; free the search state now
     return count
+
+
+def dot_product_masks(g: Multigraph, facets: Sequence[FacetInequality]) -> list[int]:
+    """For each lattice point, the mask with bit f set iff the normal of
+    ``facets[f]`` has dot product 0 with it: the masks that reading them off
+    the facet subgraphs replaced."""
+    return [
+        sum(1 << f for f, facet in enumerate(facets) if not _dot(facet.normal, p.coords))
+        for p in lattice_points(g)
+    ]
+
+
+def pairwise_sumsets(
+    g: Multigraph, top: int, budget: Budget | int | None, interior: bool
+) -> Iterator[tuple[int, int | None]]:
+    """Yield (N(t), N°(t)) for t = 0..top, forming S_t as every point of
+    S_(t-1) plus every lattice point, with masks by dot products: the sumset
+    that adding each point only to the sums whose summands all come no later
+    replaced.  It charges the same budget, |S_(t-1)| * |lattice points| per
+    step, after the facet scan when ``interior``.
+    """
+    if top < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    if not is_connected(g):
+        raise DisconnectedGraph("dilate counting requires a connected graph")
+    bud = as_budget(budget)
+    pts = [p.coords for p in lattice_points(g)]
+    # the code of a sum is the sum of the codes; see cosmopoly.polytope
+    lo = min(min(x[:-1]) for x in pts)
+    base = top * (max(max(x[:-1]) for x in pts) - lo) + 1
+    codes = [sum(c * base**k for k, c in enumerate(x[:-1])) for x in pts]
+    if not interior:
+        sums = {0}
+        yield 1, None
+        for _ in range(top):
+            bud.spend(len(sums) * len(codes))
+            sums = {s + c for s in sums for c in codes}
+            yield len(sums), None
+        return
+    facets = facet_inequalities(g, bud)
+    steps = list(zip(codes, dot_product_masks(g, facets)))
+    sums = {0: (1 << len(facets)) - 1}
+    yield 1, 0
+    for _ in range(top):
+        bud.spend(len(sums) * len(steps))
+        sums = {s + c: m & n for s, m in sums.items() for c, n in steps}
+        yield len(sums), sum(not m for m in sums.values())
 
 
 def relabeled(g: Multigraph, rng) -> Multigraph:

@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from cosmopoly.errors import Budget, BudgetExceeded, DisconnectedGraph
 from cosmopoly.hstar import hstar_closed_multicycle, hstar_ehrhart
 from cosmopoly.multigraph import (
+    Multigraph,
     bundle,
     connected_subgraphs,
     disjoint_union,
     loop_graph,
     multicycle,
+    one_sum,
     path_graph,
     single_edge,
+    theta_graph,
     triangle,
 )
 from cosmopoly.polytope import (
+    _sumsets,
+    _zero_facet_masks,
     count_dilate_points,
     count_interior_points,
     dimension,
@@ -26,8 +31,10 @@ from cosmopoly.sweep import enumerate_connected_multigraphs
 
 from oracles import (
     box_count_points,
+    dot_product_masks,
     interior_count_by_reciprocity,
     matrix_rank,
+    pairwise_sumsets,
     relabeled,
     series_count,
     small_multigraphs,
@@ -182,6 +189,52 @@ def test_sumset_counts_match_box_oracle():
                 assert count_dilate_points(h, t) == box_count_points(h, t, False, None)
             for t in range(1, h.vertex_count + 2):
                 assert count_interior_points(h, t) == box_count_points(h, t, True, None)
+
+
+K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+LOOPED = [loop_graph(3), one_sum(bundle(2), loop_graph(2)), one_sum(triangle(), loop_graph(2))]
+
+
+def sumset_cases():
+    """(graph, top): the |V|+|E| <= 7 sweep with a relabelling of each graph,
+    and the looped graphs, to one past the dilates that hstar_ehrhart reads;
+    theta(2,2,2) and K4 to 4."""
+    rng = random.Random(11)
+    for g in enumerate_connected_multigraphs(7):
+        for h in (g, relabeled(g, rng)):
+            yield h, len(h.edges) + 1
+    for g in LOOPED:
+        yield g, len(g.edges) + 1
+    yield theta_graph(2, 2, 2), 4
+    yield K4, 4
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["dilates", "interiors"])
+def test_sumsets_match_pairwise_oracle(interior):
+    # each sum formed once per multiset of summands gives the same counts as
+    # every sum formed from every pair, and charges the same nodes, also when
+    # the budget runs out part way
+    for g, top in sumset_cases():
+        fast, slow = Budget(None), Budget(None)
+        assert list(_sumsets(g, top, fast, interior)) == list(
+            pairwise_sumsets(g, top, slow, interior)
+        )
+        assert fast.used == slow.used
+        capped = []
+        for sumsets in (_sumsets, pairwise_sumsets):
+            bud, seen = Budget(fast.used // 2), []
+            with pytest.raises(BudgetExceeded):
+                seen.extend(sumsets(g, top, bud, interior))
+            capped.append((seen, bud.used))
+        assert capped[0] == capped[1]
+
+
+def test_zero_facet_masks_match_dot_products():
+    # the vanishing rules read off the subgraphs give, bit for bit, the masks
+    # of the facet normals' dot products with the lattice points
+    for g, _ in sumset_cases():
+        facets = facet_inequalities(g)
+        assert _zero_facet_masks(g, facets) == dot_product_masks(g, facets)
 
 
 @pytest.mark.parametrize(
