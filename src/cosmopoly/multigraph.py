@@ -220,25 +220,27 @@ def induced_by_edges(g: Multigraph, edge_ids: Sequence[int]) -> Multigraph:
 # Components and blocks
 
 
+def _closure(reached: int, ends: Sequence[int]) -> int:
+    """The vertex mask ``reached`` grown along edges, each given as the bit
+    mask of its two ends, until a pass over the edges adds nothing."""
+    while True:
+        before = reached
+        for m in ends:
+            if reached & m:
+                reached |= m
+        if reached == before:
+            return reached
+
+
 def connected_components(g: Multigraph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
+    ends = [1 << e.u | 1 << e.v for e in g.edges]
+    left = (1 << g.vertex_count) - 1
     out = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
+    while left:
+        comp = _closure(left & -left, ends)  # grown from the lowest vertex left
+        out.append(tuple(v for v in range(g.vertex_count) if comp >> v & 1))
+        left &= ~comp
     return out
 
 
@@ -384,36 +386,18 @@ def connected_subgraphs(
     bud = as_budget(budget)
     n = g.vertex_count
     for vmask in range(1, 1 << n):
-        vset = [v for v in range(n) if vmask >> v & 1]
         inside = [e for e in g.edges if vmask >> e.u & 1 and vmask >> e.v & 1]
-        if not _pair_connected(vset, inside):
+        ends = [1 << e.u | 1 << e.v for e in inside]
+        low = vmask & -vmask
+        if _closure(low, ends) != vmask:
             continue  # no edge subset can connect a vertex set g does not
+        vset = tuple(v for v in range(n) if vmask >> v & 1)
         k = len(inside)
         for emask in range(1 << k):
             bud.spend()
-            chosen = [inside[i] for i in range(k) if emask >> i & 1]
-            if _pair_connected(vset, chosen):
-                yield tuple(vset), tuple(e.id for e in chosen)
-
-
-def _pair_connected(vset: list[int], edges: list[Edge]) -> bool:
-    if len(vset) == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in vset}
-    for e in edges:
-        if e.is_loop:
-            continue
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    seen = {vset[0]}
-    stack = [vset[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vset)
+            picked = [i for i in range(k) if emask >> i & 1]
+            if _closure(low, [ends[i] for i in picked]) == vmask:
+                yield vset, tuple(inside[i].id for i in picked)
 
 
 class Path(NamedTuple):

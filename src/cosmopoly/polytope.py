@@ -19,10 +19,14 @@ mu(s), the least j such that s is a sum of t-1 points of index at most j.
 Then S_t = {s + c_j : j >= mu(s)}: a point x of S_t is a sum of t points,
 and if j is the largest index among them, s = x - c_j has mu(s) <= j.  A
 level is kept as a dict in mu order, so the sums point j is added to are a
-prefix of it.  The zero-facet masks are read off the subgraphs that witness
-the facets, with no dot product: facet H, of subgraph (V_H, E_H), vanishes
-on z_v iff v is not in V_H; on z_e iff e is in E_H or neither end of e is
-in V_H; on t_e iff e is not in E_H; on yf_e iff e is in E_H or its first
+prefix of it.
+
+The zero-facet masks are read straight off the connected subgraphs that
+index the facets, as :func:`connected_subgraphs` yields them, with no normal
+built and no dot product; the normals of :func:`facet_inequalities` serve
+only the ``facets`` command.  Facet H, of subgraph (V_H, E_H), vanishes on
+z_v iff v is not in V_H; on z_e iff e is in E_H or neither end of e is in
+V_H; on t_e iff e is not in E_H; on yf_e iff e is in E_H or its first
 end is not in V_H; and on yb_e iff e is in E_H or its second end is not.
 """
 
@@ -166,24 +170,27 @@ def count_dilate_points(g: Multigraph, t: int, budget: Budget | int | None = Non
 
 def count_interior_points(g: Multigraph, t: int, budget: Budget | int | None = None) -> int:
     """Lattice points in the relative interior of the t-th dilate: the points
-    of the t-fold sumset with c . x >= 1 for every facet normal c.  The facet
-    scan is charged on top of the sumset steps."""
+    of the t-fold sumset with c . x >= 1 for every facet normal c.  The scan
+    of the facet subgraphs is charged on top of the sumset steps."""
     *_, (_, interior) = _sumsets(g, t, budget, interior=True)
     return interior
 
 
-def _zero_facet_masks(g: Multigraph, facets: list[FacetInequality]) -> list[int]:
+def _zero_facet_masks(
+    g: Multigraph, subgraphs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> list[int]:
     """For each lattice point, in :func:`lattice_points` order, the mask with
-    bit f set iff ``facets[f]`` is 0 there, read off the facet subgraphs by
-    the vanishing rules of the module docstring."""
-    full = (1 << len(facets)) - 1
-    # bit f of in_v[v] (in_e[e]) is set iff vertex v (edge e) is in facet f's subgraph
+    bit f set iff the facet of ``subgraphs[f]``, a (vertices, edge ids) pair
+    in :func:`connected_subgraphs` order, is 0 there: read off the subgraph
+    by the vanishing rules of the module docstring, with no normal built."""
+    full = (1 << len(subgraphs)) - 1
+    # bit f of in_v[v] (in_e[e]) is set iff vertex v (edge e) is in subgraph f
     in_v = [0] * g.vertex_count
     in_e = [0] * len(g.edges)
-    for f, facet in enumerate(facets):
-        for v in facet.subgraph_vertices:
+    for f, (vset, eset) in enumerate(subgraphs):
+        for v in vset:
             in_v[v] |= 1 << f
-        for e in facet.subgraph_edges:
+        for e in eset:
             in_e[e] |= 1 << f
     proper = [e for e in g.edges if not e.is_loop]
     return [
@@ -210,8 +217,8 @@ def _sumsets(
     added to S_(t-2).
 
     Step t spends |S_(t-1)| * |lattice points| budget nodes, an upper bound
-    on the sums it forms, and ``interior`` adds the facet scan before the
-    first step.
+    on the sums it forms, and ``interior`` adds the scan of the facet
+    subgraphs before the first step.
     """
     if top < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -250,9 +257,9 @@ def _sumsets(
     # values are >= 0 on P, so a sum is 0 on a facet iff every summand is:
     # the mask of a sum is the AND of its summands' masks, the same for every
     # way of forming it, and a point of a dilate is interior iff its mask is 0.
-    facets = facet_inequalities(g, bud)
-    masks = _zero_facet_masks(g, facets)
-    sums = {0: (1 << len(facets)) - 1}
+    subgraphs = list(connected_subgraphs(g, bud))
+    masks = _zero_facet_masks(g, subgraphs)
+    sums = {0: (1 << len(subgraphs)) - 1}
     yield 1, 0
     for _ in range(top):
         bud.spend(len(sums) * len(codes))

@@ -13,8 +13,9 @@ packed-integer kernel replaced, the per-point scan of a facet functional is
 the test that one product of the functional with every point still to come
 replaced, and the pairwise sumset, with its zero-facet masks by dot
 products, is the sumset that forms each sum once per multiset of summands,
-with its masks read off the facet subgraphs, replaced.  The visibility
-oracle keeps the anchor perturbation schedule that the lexicographic
+with its masks read off the facet subgraphs, replaced.  The
+adjacency-list search for components is the route that the bit-mask
+closure of the graph layer replaced.  The visibility oracle keeps the anchor perturbation schedule that the lexicographic
 tie-break replaced, so it breaks no tie, and takes only the base anchor
 from the library; the box counter and the pairwise sumset take only the
 lattice points and facets, the cell search only the lattice points and an
@@ -166,6 +167,29 @@ def brute_block_partition(g: Multigraph) -> set[frozenset[int]]:
     for i in range(len(g.edges)):
         groups[find(i)].add(i)
     return {frozenset(v) for v in groups.values()}
+
+
+def dfs_connected_components(g: Multigraph) -> list[tuple[int, ...]]:
+    """Vertex sets of the connected components, each sorted, ordered by
+    minimum, by a depth-first search over adjacency lists."""
+    adj = g.adjacency()
+    seen = [False] * g.vertex_count
+    out = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, _ in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        out.append(tuple(sorted(comp)))
+    return out
 
 
 def brute_connected_subgraphs(g: Multigraph) -> set[tuple[frozenset[int], frozenset[int]]]:

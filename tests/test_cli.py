@@ -172,6 +172,19 @@ def test_lattice_points_and_facets_json(tmp_path, capsys):
     assert sorted(normals) == [[1, 0], [1, 2]]
 
 
+def test_info_text_names_a_bundle_by_its_multiplicity(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "info", graph_file(tmp_path, "0 1 *3\n"))
+    assert code == EXIT_OK
+    assert "  Bundle(3) vertices=[0, 1] edges=[0, 1, 2]" in out.splitlines()
+
+
+def test_triangulate_text_appends_the_decorated_cells(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "triangulate", graph_file(tmp_path, "0 1\n"), "--decorated")
+    lines = out.splitlines()
+    assert code == EXIT_OK and lines[0] == "simplices: 4"
+    assert lines[5:7] == ["", "graph cell_0 {"]
+
+
 def test_triangulate_with_decorations(tmp_path, capsys):
     path = graph_file(tmp_path, "0 1\n")
     code, out, _ = invoke(capsys, "triangulate", path, "--json", "--decorated", "--generators")
@@ -286,6 +299,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [("vertices x\n", "line 1: header must be 'vertices <n>'"),
+     ("vertices 3\na b\n", "line 2: expected integer endpoints, got 'a' 'b'")],
+    ids=["bad-header", "labels-under-header"],
+)
+def test_parse_error_messages(tmp_path, capsys, text, message):
+    assert invoke(capsys, "info", graph_file(tmp_path, text)) == (
+        EXIT_PARSE, "", f"error: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "name, content, reason",
     [("absent.txt", None, "No such file or directory"),
      ("", None, "Is a directory"),
@@ -335,6 +360,14 @@ def test_budget_exit_code(tmp_path, capsys):
         capsys, "hstar", path, "--method", "visibility", "--budget-nodes", "50000"
     )
     assert code == EXIT_BUDGET and "budget" in err
+
+
+def test_non_integer_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["hstar", "--budget-nodes", "abc", "-"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == EXIT_PARSE and captured.out == ""
+    assert "invalid int value: 'abc'" in captured.err
 
 
 @pytest.mark.parametrize("method", ["visibility", "auto"])
@@ -444,6 +477,21 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert record["command"] == "hstar" and "wall_time_s" in record
     code, out2, _ = invoke(capsys, "hstar", path, "--json", "--cache-dir", cache)
     assert out1 == out2
+
+
+def test_cache_store_that_fails_only_warns(tmp_path, capsys, monkeypatch):
+    path = graph_file(tmp_path, "0 1\n1 2\n2 0\n")
+    _, uncached, _ = invoke(capsys, "hstar", path, "--json")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cache = tmp_path / "cache"
+    code, out, err = invoke(capsys, "hstar", path, "--json", "--cache-dir", str(cache))
+    assert (code, out) == (EXIT_OK, uncached)
+    assert err == "warning: result not cached: replace refused\n"
+    assert list(cache.iterdir()) == []  # the temporary record is gone too
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 
-from cosmopoly.errors import BudgetExceeded, GraphError
+from cosmopoly.errors import Budget, BudgetExceeded, GraphError
 from cosmopoly.multigraph import (
     BUNDLE,
     LOOP,
@@ -15,6 +16,7 @@ from cosmopoly.multigraph import (
     connected_components,
     connected_subgraphs,
     disjoint_union,
+    is_connected,
     loop_graph,
     multicycle,
     multicycle_layout,
@@ -37,6 +39,8 @@ from oracles import (
     brute_connected_subgraphs,
     brute_cycle_edge_sets,
     brute_directed_paths,
+    dfs_connected_components,
+    relabeled,
     small_multigraphs,
 )
 
@@ -77,6 +81,45 @@ def test_connected_components():
         (0, 1, 2),
         (3,),
     ]
+
+
+def every_labelled_multigraph(max_size):
+    """Every multigraph with |V| + |E| <= max_size and its edges in sorted
+    order, connected or not."""
+    for nv in range(1, max_size):
+        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+        for ne in range(1, max_size - nv + 1):
+            for combo in combinations_with_replacement(pairs, ne):
+                try:
+                    yield Multigraph.from_pairs(nv, combo)
+                except GraphError:
+                    pass  # an isolated vertex
+
+
+def component_cases():
+    """The corpus, every multigraph of size <= 6, and disjoint unions of
+    corpus graphs, which carry loops and parallel edges."""
+    yield from CORPUS
+    yield from every_labelled_multigraph(6)
+    looped_triangle = Multigraph.from_pairs(3, [(0, 0), (0, 1), (1, 2), (2, 0)])
+    for g in CORPUS:
+        for h in (loop_graph(2), triangle(), looped_triangle):
+            yield disjoint_union(g, h)
+            yield disjoint_union(h, disjoint_union(g, loop_graph(1)))
+
+
+def test_connected_components_match_dfs_oracle():
+    # each case also with its vertices and edges shuffled, so that an edge
+    # can come before the edge that reaches it
+    rng = random.Random(7)
+    disconnected = 0
+    for case in component_cases():
+        for g in (case, relabeled(case, rng)):
+            want = dfs_connected_components(g)
+            assert connected_components(g) == want
+            assert is_connected(g) == (len(want) == 1)
+            disconnected += len(want) > 1
+    assert disconnected  # the cases reach past one component
 
 
 def test_blocks_two_triangles_sharing_vertex():
@@ -131,8 +174,14 @@ def test_connected_subgraphs_triangle_count():
 
 @pytest.mark.parametrize("g", [g for g in CORPUS if len(connected_components(g)) == 1])
 def test_connected_subgraphs_match_oracle(g):
-    got = {(frozenset(v), frozenset(e)) for v, e in connected_subgraphs(g)}
-    assert got == brute_connected_subgraphs(g)
+    bud = Budget(None)
+    got = {(frozenset(v), frozenset(e)) for v, e in connected_subgraphs(g, bud)}
+    want = brute_connected_subgraphs(g)
+    assert got == want
+    # one node per edge subset of each vertex set that g connects, and none
+    # for the vertex sets it does not
+    joined = {v for v, _ in want}
+    assert bud.used == sum(2 ** sum(e.u in v and e.v in v for e in g.edges) for v in joined)
 
 
 def test_connected_subgraphs_budget():

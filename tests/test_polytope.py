@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import cosmopoly.polytope as polytope_module
 from cosmopoly.errors import Budget, BudgetExceeded, DisconnectedGraph
 from cosmopoly.hstar import hstar_closed_multicycle, hstar_ehrhart
 from cosmopoly.multigraph import (
@@ -231,10 +232,21 @@ def test_sumsets_match_pairwise_oracle(interior):
 
 def test_zero_facet_masks_match_dot_products():
     # the vanishing rules read off the subgraphs give, bit for bit, the masks
-    # of the facet normals' dot products with the lattice points
+    # of the facet normals' dot products with the lattice points, whose
+    # facets come in the order of the subgraphs
     for g, _ in sumset_cases():
-        facets = facet_inequalities(g)
-        assert _zero_facet_masks(g, facets) == dot_product_masks(g, facets)
+        masks = _zero_facet_masks(g, list(connected_subgraphs(g)))
+        assert masks == dot_product_masks(g, facet_inequalities(g))
+
+
+def test_ehrhart_route_builds_no_normals(monkeypatch):
+    # the interior counts take the facet subgraphs, never the normals
+    def refuse(*args, **kwargs):
+        raise AssertionError("facet normals built")
+
+    monkeypatch.setattr(polytope_module, "facet_inequalities", refuse)
+    assert hstar_ehrhart(multicycle((2, 1, 1))) == hstar_closed_multicycle((2, 1, 1))
+    assert count_interior_points(triangle(), 3) == 19
 
 
 @pytest.mark.parametrize(
