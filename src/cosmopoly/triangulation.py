@@ -11,26 +11,28 @@ the point of cell C in slot q, with (C^-1 p)_q < 0: p lies beyond it.  The
 new cell C - q + p gets its integer inverse from one rank-one pivot by
 (C^-1 p)_q, which is +-1 as every cell is unimodular.
 
-Visible facets come from conflict lists (Clarkson and Shor): each new facet
-is filed under the first point still to come, in placing order, that lies
-beyond it.  Until that point is placed no point lies beyond the facet, so it
-stays on the boundary, and when it is placed the facet is visible; the
-facets filed under a point are thus exactly those it sees, in the order they
-were made.  A new facet no point still to come lies beyond is on the
-boundary of the polytope; it is dropped.  A cell keeps its points as the
-bits 1 << i by slot, so the facet omitting slot x is the cell's mask XOR
-that bit.  The points beyond a facet depend only on its facet functional,
-the facet's row of its cell's inverse, and far fewer functionals than
-facets turn up: 201 among the 9 247 new facets theta(2,2,2) files or
-drops.  So each new functional is tested against every point placed after
-the first cell in one product: those points are packed side by side, one
-to a block of 2m - 1 digits, and the row times them holds each dot product
-in a block of its own, whose sign bits mark the points beyond
-(:meth:`Packing.side_by_side`).  A facet is filed under the first such
-point at or after the current step, the lowest sign bit set above it.  The
+Visible facets come from conflict lists (Clarkson and Shor).  Each facet of a
+new cell is decided by k, the position of the first point strictly beyond it
+in placing order, the first cell's points first.  A facet of a triangulation
+of the points placed is on its boundary iff no placed point lies beyond it;
+an inner one has the apex of the cell across it beyond.  So a facet whose k
+is placed is shared, by two new cells or with the cell coned over, and is
+skipped; one that no point lies beyond is on the polytope's boundary and is
+dropped; any other is filed under point k.  Until k is placed the facet stays
+on the boundary, and then it is visible, so the facets filed under a point
+are exactly those it sees, in the order they were made.  A cell keeps its
+points as the bits 1 << i by slot, so the facet omitting slot x is the
+cell's mask XOR that bit.  k depends only on the facet functional, the
+facet's row of its cell's inverse, and far fewer functionals than facets
+turn up: 723 among the 29 568 facets of the cells theta(2,2,2) makes before
+its last step.  So each functional met is tested against every point in one
+product and its k kept: the points are packed side by side in placing order,
+one to a block of 2m - 1 digits, and the row times them holds each dot
+product in a block of its own, whose sign bits mark the points beyond
+(:meth:`Packing.side_by_side`); k is the block of the lowest one set.  The
 last point placed leaves no point to file a facet under, so its cells need
-no facet work.  The pass hands its cells over a step at a time: one batch
-for the first cell and one per point placed after it.
+no facet work.  The pass hands its cells over a step at a time: one batch for
+the first cell and one per point placed after it.
 
 Each inverse is one Python int, packed as small integers side by side in
 one register (SWAR).  Row x holds its m entries in the digits
@@ -419,35 +421,30 @@ def placing_pass(
     visible: list[list[tuple]] = [[] for _ in rest]
     cell = tuple(1 << i for i in first)
     made = [(cell, sum(cell), pk.pack([[det * a for a in row] for row in inverse]))]
-    # one product of a facet functional with the rest points tests it on each
-    together, offsets, signs = pk.side_by_side(rest)
-    block, sign = pk.block, pk.width * m - 1
-    slot, row_mask, pivot = pk.slot, pk.row_mask, pk.pivot
-    # a facet functional, as a row's field, -> the sign bits of the rest points beyond it
+    # one product of a facet functional with every point tests it on each
+    together, offsets, signs = pk.side_by_side(first + rest)
+    block, slot, row_mask, pivot = pk.block, pk.slot, pk.row_mask, pk.pivot
+    # a facet functional, as a row's field -> k, the position in first + rest
+    # of the first point beyond it, len(points) if none is
     beyond: dict[int, int] = {}
-    # the bit of the point just placed: a new cell's facet omitting it is the
-    # visible facet the cell was coned over, inside the polytope now
-    bit = 0
+    end, get = len(points), beyond.get
     for step, p in enumerate(rest):
         yield made
-        fresh: dict[int, tuple] = {}  # facets of the new cells but those two of them share
+        done, tested = m + step, 0  # the points placed so far, first + rest[:step]
         for cell, mask, inv in made:
             for x, b in enumerate(cell):
-                if b != bit and fresh.pop(facet := mask ^ b, None) is None:
-                    fresh[facet] = (cell, inv, x)
-        left, tested, shift = len(rest) - step, 0, sign + step * block
-        for facet, (cell, inv, x) in fresh.items():
-            row = inv >> slot * x & row_mask
-            ahead = beyond.get(row)
-            if ahead is None:
-                ahead = beyond[row] = ~(row * together + offsets) & signs
-            ahead >>= shift
-            if ahead:
-                n = (ahead & -ahead).bit_length() // block  # the points before the first beyond
-                visible[step + n].append((facet, cell, inv, x))
-                tested += n + 1
-            else:
-                tested += left
+                row = inv >> slot * x & row_mask
+                k = get(row)
+                if k is None:
+                    ahead = ~(row * together + offsets) & signs
+                    k = beyond[row] = (ahead & -ahead).bit_length() // block if ahead else end
+                if k < done:
+                    continue  # a placed point lies beyond: the facet is shared
+                if k < end:
+                    visible[k - m].append((mask ^ b, cell, inv, x))
+                    tested += k - done + 1
+                else:  # on the boundary of the polytope: dropped
+                    tested += end - done
         bud.spend(tested)
         bud.spend(len(visible[step]))
         bit = 1 << p

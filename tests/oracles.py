@@ -413,12 +413,13 @@ def scan_placing_pass(
     placed: (cell, inverse) in the order the cells are made.
 
     The first cell comes from Bareiss pivots of the points into unit-vector
-    slots.  A facet of the new cells that no later point lies beyond is
-    dropped; every other one is kept on the boundary, and each later point
-    is coned over the boundary facets it lies beyond, in the order they
-    were kept.  Besides the nodes of the goodness check it charges one node
-    per boundary facet scanned, per cell made and per later point tested
-    against a new facet.
+    slots.  The facets two new cells share are paired off, with no test of
+    the points placed.  A facet of the new cells that no later point lies
+    beyond is dropped; every other one is kept on the boundary, and each
+    later point is coned over the boundary facets it lies beyond, in the
+    order they were kept.  Besides the nodes of the goodness check it
+    charges one node per boundary facet scanned, per cell made and per
+    later point tested against a new facet.
     """
     if not is_connected(g):
         raise DisconnectedGraph("triangulation enumeration requires a connected graph")
@@ -496,8 +497,11 @@ def tuple_placing_pass(
 
     Each step computes C^-1 p by one sparse dot product per row and rebuilds
     every row the pivot changes; the first cell comes from Bareiss pivots of
-    the points into unit-vector slots.  It charges the nodes of the packed
-    pass: one per cell made and per later point tested against a new facet.
+    the points into unit-vector slots.  It pairs off the facets two new
+    cells share, where the packed pass skips each facet a placed point lies
+    beyond, and scans the later points for the first beyond each other
+    facet.  It charges the nodes of the packed pass: one per cell made and
+    per later point tested against a new facet.
     """
     if not is_connected(g):
         raise DisconnectedGraph("triangulation enumeration requires a connected graph")

@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -313,10 +314,10 @@ def test_placing_pass_matches_tuple_oracle(g):
 PLACED = [*enumerate_connected_multigraphs(7), *LOOPED, theta_graph(2, 2, 2), K4]
 
 
-def points_after_first_cell(g, first):
-    """The points not in the first cell, in placing order under the default
-    order: the points the pass places one step each."""
-    points, order = lattice_points(g), default_good_order(g)
+def points_after_first_cell(g, first, order=None):
+    """The points not in the first cell, in placing order under ``order``,
+    the default order when None: the points the pass places one step each."""
+    points, order = lattice_points(g), order or default_good_order(g)
     placing = sorted(range(len(points)), key=lambda i: order.rank(points[i]), reverse=True)
     return [i for i in placing if i not in first]
 
@@ -335,30 +336,79 @@ def test_placing_pass_yields_one_batch_per_step():
                 assert 1 << p in bits and mask == sum(bits)
 
 
+@pytest.mark.parametrize("seed", [None, 1, 7])
+def test_a_new_facet_is_shared_iff_a_placed_point_lies_beyond(seed):
+    # the rule the pass decides each new facet by, on tuple rows: a facet of
+    # a cell made at a step is shared with another cell made so far iff a
+    # point of the first cell, or one placed at a step up to this one, lies
+    # strictly beyond its row; the facets so shared are those two cells of
+    # the step share and those that omit the point just placed
+    shared = outer = 0
+    for g in PLACED:
+        order = default_good_order(g, seed=seed)
+        coords = [p.coords for p in lattice_points(g)]
+        cells = list(tuple_placing_pass(g, order))
+        first = list(cells[0][0])
+        placing = first + points_after_first_cell(g, first, order)
+        position = {i: k for k, i in enumerate(placing)}
+        m = len(first)
+        steps: list[list] = [[] for _ in range(len(placing) - m + 1)]
+        for cell, inv in cells:
+            # a cell made at step s > 0 holds rest[s - 1] and points placed before it
+            steps[max(0, max(map(position.get, cell)) - m + 1)].append((cell, inv))
+        first_beyond: dict = {}  # a row -> the position of the first point beyond it
+        made: Counter = Counter()
+        for step, batch in enumerate(steps):
+            facets = [(frozenset(cell) - {cell[x]}, cell[x], inv[x])
+                      for cell, inv in batch for x in range(m)]
+            new = Counter(facet for facet, _, _ in facets)
+            made.update(new)
+            newest = placing[m + step - 1] if step else None
+            for facet, omitted, row in facets:
+                if row not in first_beyond:
+                    first_beyond[row] = next(
+                        (k for k, i in enumerate(placing)
+                         if sum(a * c for a, c in zip(row, coords[i])) < 0),
+                        len(placing),
+                    )
+                beyond = first_beyond[row] < m + step
+                assert (made[facet] == 2) == beyond == (new[facet] == 2 or omitted == newest)
+                shared += beyond
+                outer += not beyond
+    assert shared > 0 and outer > 0
+
+
 @pytest.mark.parametrize("proven", [False, True], ids=["narrow", "proven"])
 def test_one_product_finds_the_points_beyond_each_functional(proven):
     # every facet functional the pass meets is a row of a cell's inverse; one
-    # product of its field with the points still to come, laid side by side,
-    # holds in each block the row times one point, offset in every digit as
-    # if multiplied alone, and marks in its sign bits the points that the
-    # per-point scan finds beyond it
+    # product of its field with every point in placing order, the first
+    # cell's then the rest, laid side by side, holds in each block the row
+    # times one point, offset in every digit as if multiplied alone, and
+    # marks in its sign bits the points that the per-point scan finds beyond
+    # it; the block of the lowest sign bit set is the first of them, the
+    # position the pass caches for the functional
     met = beyond = 0
     for g in PLACED:
         pk = Packing.of(g, proven)
         cells = list(pass_cells(g, None, None, pk))
-        rest = points_after_first_cell(g, cells[0][0])
-        together, offsets, signs = pk.side_by_side(rest)
+        first = list(cells[0][0])
+        placing = first + points_after_first_cell(g, first)
+        together, offsets, signs = pk.side_by_side(placing)
         sign, block_mask = pk.width * pk.m - 1, (1 << pk.block) - 1
         alone = pk.half * sum(1 << pk.width * d for d in range(2 * pk.m - 1))
         rows = {inv >> pk.slot * x & pk.row_mask for _, _, inv in cells for x in range(pk.m)}
         for row in rows:
             product = row * together + offsets
-            for k, i in enumerate(rest):
+            for k, i in enumerate(placing):
                 block = product >> pk.block * k & block_mask
                 assert block == (row - pk.row_offset) * pk.points[i] + alone
             spread = ~product & signs
-            read = sum(1 << k for k in range(len(rest)) if spread >> pk.block * k + sign & 1)
-            assert read == scan_beyond(pk, row, rest)
+            read = sum(1 << k for k in range(len(placing)) if spread >> pk.block * k + sign & 1)
+            scanned = scan_beyond(pk, row, placing)
+            assert read == scanned
+            if scanned:
+                lowest = (spread & -spread).bit_length() // pk.block
+                assert lowest == (scanned & -scanned).bit_length() - 1
             beyond += read > 0
         met += len(rows)
     assert 0 < beyond < met
