@@ -65,7 +65,6 @@ from .triangulation import (
     build_triangulation,
     decorated_view,
     normalized_volume,
-    sq_db_counts,
 )
 # the method dispatcher lives at cosmopoly.hstar.hstar; re-exporting it here
 # would shadow the submodule name
@@ -80,7 +79,6 @@ from .hstar import (
     hstar_closed_multicycle,
     hstar_ehrhart,
     hstar_visibility,
-    statistic_polynomial,
     theta_hstar,
 )
 from .sweep import canonical_form, enumerate_connected_multigraphs, verify_graph

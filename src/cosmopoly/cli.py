@@ -7,8 +7,8 @@ content-addressed cache can only change wall time, never results.
 Exit codes: 0 ok, 1 internal error, 2 parse or usage error (including a
 disconnected graph for a command that needs a connected one, and ``auto``
 refusing a graph with an ``Other`` block above the point cap), 3 budget
-exceeded, 4 check failure (a theorem check fails, a multicycle cell
-breaks the proven stroke description, or the h* routes disagree:
+exceeded, 4 check failure (a theorem check fails, a cell breaks the
+stroke rule, or the h* routes disagree:
 ``verify`` not ok, or any ERROR case of a ``conjecture`` sweep).  A
 VIOLATED conjecture is a finding and exits 0.
 """

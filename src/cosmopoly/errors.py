@@ -32,7 +32,8 @@ class WrongCardinality(CosmopolyError):
 
 
 class StructureViolation(CosmopolyError):
-    """A cell violates the structural description of multicycle triangulations."""
+    """A cell breaks the stroke rule, which every cell of a good order's
+    placing triangulation obeys; signals an implementation bug."""
 
 
 class TheoremViolation(CosmopolyError):

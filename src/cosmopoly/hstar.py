@@ -14,6 +14,25 @@ Routes:
 
 The three must agree coefficientwise; `verify` wiring elsewhere exploits
 exactly that.
+
+The statistic conjectured to equal h* sums z^(#squiggly + #double edges)
+over the cells of the placing triangulation, and needs every cell to obey
+the stroke rule: each edge carries one stroke, or plain plus one directed
+stroke.  Under a good term order every cell does.  For an edge e from u to v
+the fundamental binomials
+
+  t_e + z_e = z_u + z_v,   t_e + yf_e = 2 z_u,
+  t_e + yb_e = 2 z_v,      yf_e + yb_e = 2 z_e
+
+(for a loop at u, t_e + z_e = 2 z_u) lead with their left sides, which
+:func:`~cosmopoly.grobner.is_good_order` requires.  So each left-hand pair
+is a non-face of the initial complex, which is the placing triangulation
+(Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 8): no cell holds
+t_e with another point of e, or both y-points of e.  And z_e, t_e, yf_e
+and yb_e are the only points with a nonzero e-coordinate, so a
+full-dimensional cell, which cannot lie in the hyperplane x_e = 0, holds
+one of them: every edge is covered.  A cell that breaks the rule is a bug,
+and :func:`mask_statistic` raises StructureViolation on it.
 """
 
 from __future__ import annotations
@@ -43,7 +62,7 @@ from .multigraph import (
     is_connected,
 )
 from .polytope import _sumsets, dimension
-from .triangulation import Simplex, cells_from_masks, decorated_view, placed, sq_db_counts
+from .triangulation import Simplex, cells_from_masks, decorated_view, placed
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -437,26 +456,11 @@ def hstar(
 # Statistic polynomial
 
 
-def statistic_polynomial(g: Multigraph, simplices: Sequence[Simplex]) -> IntPolynomial:
-    """Sum over the given triangulation cells of z^(squiggly + double edges);
-    conjectured equal to h*, and provably so on multitrees and multicycles.
-
-    Each cell is rendered by :func:`decorated_view`, which checks its
-    strokes; :func:`mask_statistic` reads the same sum off cell masks, and
-    this is its oracle."""
-    counts: list[int] = []
-    for s in simplices:
-        sq, db = sq_db_counts(decorated_view(s, g))
-        k = sq + db
-        if k >= len(counts):
-            counts.extend([0] * (k - len(counts) + 1))
-        counts[k] += 1
-    return IntPolynomial(counts)
-
-
 def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
-    """:func:`statistic_polynomial` of the cells given as bit masks of point
-    indices, read off the masks with no cell decoded.
+    """The statistic: the sum over the cells, given as bit masks of point
+    indices, of z^(#squiggly + #double edges), read off the masks with no
+    cell decoded.  It is conjectured equal to h*, and is so on multitrees
+    and multicycles.
 
     The points lie in the order of :func:`lattice_points`: |V| vertex
     z-points, then |E| each of edge z-points and t-points, then the forward
@@ -467,9 +471,10 @@ def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
     every edge, t meets none of the others, and f and b are disjoint.  A
     cell then has |V| + |E| points, one per white vertex and one per stroke,
     so it has |V| - #white double edges and adds one to the coefficient of
-    z^(#t + |V| - #white).  If any cell breaks the rule, the sum is left to
-    :func:`statistic_polynomial` on the sorted cells, which raises or warns
-    as it always has.
+    z^(#t + |V| - #white).  Under a good order every cell obeys that stroke
+    rule (see the module docstring).  If cells break it, those cells are
+    decoded, and :func:`decorated_view` raises StructureViolation
+    for the one that sorts first.
     """
     nv, ne = g.vertex_count, len(g.edges)
     ny = ne - g.loop_count
@@ -478,6 +483,7 @@ def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
     b_at = f_at + ny
     loops = [(1 << e.id) - 1 for e in g.edges if e.is_loop]  # the edges below each loop
     counts = [0] * (ne + 1)
+    bad = []
     for c in masks:
         z, t = c >> nv & strokes, c >> t_at & strokes
         f, b = c >> f_at & ys, c >> b_at & ys
@@ -485,8 +491,11 @@ def mask_statistic(g: Multigraph, masks: Sequence[int]) -> IntPolynomial:
             f = f & below | (f & ~below) << 1
             b = b & below | (b & ~below) << 1
         if (z | t | f | b) != strokes or t & (z | f | b) or f & b:
-            return statistic_polynomial(g, cells_from_masks(g, masks))
+            bad.append(c)
+            continue
         counts[t.bit_count() + nv - (c & white).bit_count()] += 1
+    if bad:
+        decorated_view(cells_from_masks(g, bad)[0], g)
     return IntPolynomial(counts)
 
 

@@ -346,30 +346,6 @@ def blocks(g: Multigraph) -> list[BlockClass]:
     return out
 
 
-def multicycle_layout(g: Multigraph) -> tuple[int, ...] | None:
-    """Multiplicity vector if g is a multicycle in canonical layout, else None.
-
-    Canonical layout: vertices 0..n-1 in cycle order, edges grouped per
-    multi-edge with endpoints stored as (i, (i+1) mod n).
-    """
-    n = g.vertex_count
-    if n < 3:
-        return None
-    mult = []
-    pos = 0
-    for i in range(n):
-        cnt = 0
-        while pos < len(g.edges) and (g.edges[pos].u, g.edges[pos].v) == (i, (i + 1) % n):
-            cnt += 1
-            pos += 1
-        if cnt == 0:
-            return None
-        mult.append(cnt)
-    if pos != len(g.edges):
-        return None
-    return tuple(mult)
-
-
 # ---------------------------------------------------------------------------
 # Subgraph, path and cycle enumeration
 

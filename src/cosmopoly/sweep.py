@@ -120,7 +120,8 @@ def verify_graph(
     permits; a budget overrun on the optional routes is recorded as a skip
     rather than an error.  On a connected graph the statistic check reads
     the masks of the visibility cells (:func:`mask_statistic`), so no cell
-    is decoded, sorted or rendered unless one breaks the stroke rule.
+    is decoded, sorted or rendered unless one breaks the stroke rule, which
+    raises StructureViolation.
     """
     bud = as_budget(budget)
     methods: dict[str, IntPolynomial] = {}

@@ -87,7 +87,6 @@ with at most two strokes per edge.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -100,7 +99,7 @@ from .errors import (
     as_budget,
 )
 from .grobner import TermOrder, default_good_order, is_good_order
-from .multigraph import Multigraph, is_connected, multicycle_layout
+from .multigraph import Multigraph, is_connected
 from .polytope import (
     LatticePoint,
     TPOINT,
@@ -523,10 +522,10 @@ class DecoratedGraph(NamedTuple):
 def decorated_view(simplex: Iterable[LatticePoint], g: Multigraph) -> DecoratedGraph:
     """Render a cell as a decorated subgraph.
 
-    Checks that every edge carries one or two strokes, a pair always being
-    plain plus one directed stroke.  On multicycles a violation raises; on
-    other graphs it is only reported as a warning, since the pattern is not
-    established there.
+    Raises StructureViolation unless every edge carries one or two strokes,
+    a pair always being plain plus one directed stroke: the stroke rule,
+    which every cell of a good order's placing triangulation obeys (see
+    :mod:`cosmopoly.hstar`).
     """
     white = set()
     roles: list[set[str]] = [set() for _ in g.edges]
@@ -542,15 +541,6 @@ def decorated_view(simplex: Iterable[LatticePoint], g: Multigraph) -> DecoratedG
         elif len(rs) == 2 and frozenset(rs) not in _VALID_DOUBLES:
             problems.append(f"edge {e} double stroke {sorted(rs)} is not plain+directed")
     if problems:
-        message = "; ".join(problems)
-        if multicycle_layout(g) is not None:
-            raise StructureViolation(message)
-        warnings.warn(message, stacklevel=2)
+        raise StructureViolation("; ".join(problems))
     return DecoratedGraph(frozenset(white), tuple(frozenset(rs) for rs in roles))
 
-
-def sq_db_counts(d: DecoratedGraph) -> tuple[int, int]:
-    """(# squiggly edges, # double edges) of a decorated cell."""
-    sq = sum(1 for rs in d.edge_roles if SQUIGGLY in rs)
-    db = sum(1 for rs in d.edge_roles if len(rs) == 2)
-    return sq, db

@@ -15,7 +15,9 @@ replaced, and the pairwise sumset, with its zero-facet masks by dot
 products, is the sumset that forms each sum once per multiset of summands,
 with its masks read off the facet subgraphs, replaced.  The
 adjacency-list search for components is the route that the bit-mask
-closure of the graph layer replaced.  The visibility oracle keeps the anchor perturbation schedule that the lexicographic
+closure of the graph layer replaced.  The statistic summed over cells
+rendered by ``decorated_view`` is the route that the bitwise tally off the
+cell masks replaced.  The visibility oracle keeps the anchor perturbation schedule that the lexicographic
 tie-break replaced, so it breaks no tie, and takes only the base anchor
 from the library; the box counter and the pairwise sumset take only the
 lattice points and facets, the cell search only the lattice points and an
@@ -27,10 +29,10 @@ enumerators, as the point names on each side.
 
 The multicycle structure checker is no oracle: it tests the paper's
 structure lemma on the cells of multicycle triangulations, which no command
-needs, so it lives with the tests that run it.  So do a few small lookups
-and identities that only the tests read: a lattice point by name, the
-bridges of a graph, and the Laurent-monomial image that shows a binomial
-balanced.
+needs, so it lives with the tests that run it, as does its test for a
+multicycle in canonical layout.  So do a few small lookups and identities
+that only the tests read: a lattice point by name, the bridges of a graph,
+and the Laurent-monomial image that shows a binomial balanced.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from cosmopoly.grobner import (
     is_good_order,
 )
 from cosmopoly.hstar import IntPolynomial
-from cosmopoly.multigraph import SINGLE_EDGE, Multigraph, blocks, is_connected, multicycle_layout
+from cosmopoly.multigraph import SINGLE_EDGE, Multigraph, blocks, is_connected
 from cosmopoly.polytope import (
     FacetInequality,
     LatticePoint,
@@ -76,6 +78,7 @@ from cosmopoly.triangulation import (
     FORWARD,
     PLAIN,
     SQUIGGLY,
+    DecoratedGraph,
     Packing,
     Simplex,
     WidthOverflow,
@@ -640,6 +643,51 @@ def unpacked_placing_pass(
 def anchor_free(cells: Iterable[tuple]) -> list[tuple]:
     """(cell, inverse) pairs with the anchor entry dropped from each row."""
     return [(cell, tuple(row[:-1] for row in inverse)) for cell, inverse in cells]
+
+
+def sq_db_counts(d: DecoratedGraph) -> tuple[int, int]:
+    """(# squiggly edges, # double edges) of a decorated cell."""
+    sq = sum(1 for rs in d.edge_roles if SQUIGGLY in rs)
+    db = sum(1 for rs in d.edge_roles if len(rs) == 2)
+    return sq, db
+
+
+def statistic_polynomial(g: Multigraph, simplices: Sequence[Simplex]) -> IntPolynomial:
+    """Sum over the given cells of z^(squiggly + double edges), each cell
+    rendered by :func:`decorated_view`, which raises on a cell that breaks
+    the stroke rule: the oracle of ``mask_statistic``."""
+    counts: list[int] = []
+    for s in simplices:
+        sq, db = sq_db_counts(decorated_view(s, g))
+        k = sq + db
+        if k >= len(counts):
+            counts.extend([0] * (k - len(counts) + 1))
+        counts[k] += 1
+    return IntPolynomial(counts)
+
+
+def multicycle_layout(g: Multigraph) -> tuple[int, ...] | None:
+    """Multiplicity vector if g is a multicycle in canonical layout, else None.
+
+    Canonical layout: vertices 0..n-1 in cycle order, edges grouped per
+    multi-edge with endpoints stored as (i, (i+1) mod n).
+    """
+    n = g.vertex_count
+    if n < 3:
+        return None
+    mult = []
+    pos = 0
+    for i in range(n):
+        cnt = 0
+        while pos < len(g.edges) and (g.edges[pos].u, g.edges[pos].v) == (i, (i + 1) % n):
+            cnt += 1
+            pos += 1
+        if cnt == 0:
+            return None
+        mult.append(cnt)
+    if pos != len(g.edges):
+        return None
+    return tuple(mult)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from cosmopoly.hstar import (
     hstar_ehrhart,
     hstar_visibility,
     statistic_finding,
-    statistic_polynomial,
     theta_hstar,
 )
 from cosmopoly.multigraph import (
@@ -41,7 +40,7 @@ from cosmopoly.polytope import (
 from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
 from cosmopoly.triangulation import build_triangulation, normalized_volume
 
-from oracles import series_count, validate_multicycle_structure
+from oracles import series_count, statistic_polynomial, validate_multicycle_structure
 
 
 def report(number: int, ok: bool, message: str, started: float) -> None:

@@ -29,7 +29,8 @@ from cosmopoly.errors import (
 )
 from cosmopoly.grobner import default_good_order
 from cosmopoly.hstar import ONE, IntPolynomial
-from cosmopoly.multigraph import Multigraph, bundle, multicycle, theta_graph, triangle
+from cosmopoly.multigraph import Multigraph, bundle, multicycle, path_graph, theta_graph, triangle
+from cosmopoly.polytope import lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs, sweep_graphs, sweep_theta, verify_graph
 from cosmopoly.triangulation import build_triangulation
 
@@ -290,6 +291,22 @@ def test_library_error_exit_codes(tmp_path, capsys, monkeypatch, error, code, pr
     monkeypatch.setitem(cli._GRAPH_COMMANDS, "info", (handler, None))
     path = graph_file(tmp_path, "0 1\n")
     assert invoke(capsys, "info", path) == (code, "", prefix + "\n")
+
+
+def test_verify_exits_check_on_a_cell_that_breaks_the_stroke_rule(tmp_path, capsys, monkeypatch):
+    real = sweep_module.build_anchor
+
+    def with_bad_cell(g, order, budget):
+        anchor = real(g, order, budget)
+        bad = [i for i, p in enumerate(lattice_points(g)) if p.name in ("zv0", "zv1", "zv2", "t0")]
+        return anchor._replace(masks=anchor.masks + (sum(1 << i for i in bad),))
+
+    monkeypatch.setattr(sweep_module, "build_anchor", with_bad_cell)
+    monkeypatch.delenv("COSMOPOLY_CACHE", raising=False)
+    path = graph_file(tmp_path, write_graph_text(path_graph(2)))  # the cell leaves edge 1 bare
+    assert invoke(capsys, "verify", path) == (
+        EXIT_CHECK, "", "check failed: edge 1 carries 0 strokes\n"
+    )
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -36,7 +35,6 @@ from cosmopoly.hstar import (
     mask_statistic,
     resolve_method,
     statistic_finding,
-    statistic_polynomial,
     theta_hstar,
 )
 from cosmopoly.multigraph import (
@@ -56,9 +54,9 @@ from cosmopoly.multigraph import (
     theta_graph,
     triangle,
 )
-from cosmopoly.polytope import count_dilate_points, dimension, lattice_points
+from cosmopoly.polytope import TPOINT, count_dilate_points, dimension, lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
-from cosmopoly.grobner import default_good_order
+from cosmopoly.grobner import TermOrder, _class_ranked, default_good_order, is_good_order, obstruction_set
 from cosmopoly.triangulation import (
     Packing,
     build_triangulation,
@@ -75,6 +73,7 @@ from oracles import (
     primitive_point,
     relabeled,
     small_multigraphs,
+    statistic_polynomial,
     two_pass_visibility,
 )
 
@@ -565,23 +564,60 @@ def test_mask_statistic_matches_rendered_cells(seed):
         assert mask_statistic(g, anchor.masks) == statistic_polynomial(g, anchor.cells)
 
 
+def _unranked_order(g):
+    """The default order with its last vertex z-point moved just above its
+    first t-point: still good, but no longer class-ranked."""
+    ranked = list(default_good_order(g).ranked)
+    last = ranked.pop()
+    ranked.insert(next(i for i, p in enumerate(ranked) if p.kind == TPOINT), last)
+    return TermOrder(ranked)
+
+
+STROKE_ORDERS = {
+    "default": default_good_order,
+    "seed-1": lambda g: default_good_order(g, seed=1),
+    "seed-7": lambda g: default_good_order(g, seed=7),
+    "unranked": _unranked_order,
+}
+
+
+@pytest.mark.parametrize("name", list(STROKE_ORDERS))
+def test_every_cell_of_a_good_order_obeys_the_stroke_rule(name):
+    # the pairs the stroke rule forbids lead fundamental binomials, so they
+    # are obstructions, and mask_statistic never meets a cell that breaks it
+    graphs = list(enumerate_connected_multigraphs(8))
+    assert len(graphs) == 93
+    for g in graphs:
+        order = STROKE_ORDERS[name](g)
+        assert is_good_order(order, g) and _class_ranked(order, g) == (name != "unranked")
+        obstructions = set(obstruction_set(g, order))
+        point = {p.name: p for p in lattice_points(g)}
+        for e in g.edges:
+            forbidden = [("t", "ze")] if e.is_loop else [
+                ("t", "ze"), ("t", "yf"), ("t", "yb"), ("yf", "yb")
+            ]
+            for a, b in forbidden:
+                assert frozenset({point[f"{a}{e.id}"], point[f"{b}{e.id}"]}) in obstructions
+        anchor = build_anchor(g, order)
+        assert mask_statistic(g, anchor.masks) == statistic_polynomial(g, anchor.cells)
+
+
 def _mask(g, names):
     return sum(1 << i for i, p in enumerate(lattice_points(g)) if p.name in names)
 
 
 def _stroke_problem(g, cell):
     """decorated_view's complaint about a cell, None if it has none."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            decorated_view(cell, g)
-        except StructureViolation as exc:
-            return str(exc)
-    return str(caught[0].message) if caught else None
+    try:
+        decorated_view(cell, g)
+    except StructureViolation as exc:
+        return str(exc)
+    return None
 
 
 def test_mask_stroke_rule_matches_decorated_view(monkeypatch):
-    # mask_statistic sorts the cells exactly when its bitwise rule rejects one
+    # mask_statistic decodes the cells exactly when its bitwise rule rejects
+    # one, and then raises decorated_view's complaint
     sorts = []
 
     def counted(g, masks):
@@ -599,14 +635,12 @@ def test_mask_stroke_rule_matches_decorated_view(monkeypatch):
             cell = tuple(points[i] for i in indices)
             problem = _stroke_problem(g, cell)
             sorts.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    stat = mask_statistic(g, [sum(1 << i for i in indices)])
-                except StructureViolation:
-                    stat = None
-                else:
-                    assert stat == statistic_polynomial(g, [cell])
+            try:
+                stat = mask_statistic(g, [sum(1 << i for i in indices)])
+            except StructureViolation as exc:
+                assert str(exc) == problem, (g, cell)
+            else:
+                assert problem is None and stat == statistic_polynomial(g, [cell])
             assert bool(sorts) == (problem is not None), (g, cell, problem)
             tried += 1
             violating += problem is not None
@@ -634,14 +668,27 @@ def test_mask_statistic_keeps_the_stroke_errors():
     with pytest.raises(StructureViolation) as exc:
         mask_statistic(g, build_anchor(g).masks + (second, first))
     assert str(exc.value) == message
-    # off multicycles a bad cell warns, with decorated_view's text, and counts
+    # and so does a bad cell off multicycles
     g = BAD_GRAPHS["path"]
     (bad,) = (_mask(g, names) for names in BAD_CELLS["path"])
     message = _stroke_problem(g, cells_from_masks(g, [bad])[0])
-    with pytest.warns(UserWarning) as caught:
-        stat = mask_statistic(g, build_anchor(g).masks + (bad,))
-    assert [str(w.message) for w in caught] == [message]
-    assert stat == ONE_PLUS_3Z**2 + poly(0, 1)  # h*, and z for the squiggly edge 0
+    assert message == "edge 1 carries 0 strokes"
+    with pytest.raises(StructureViolation) as exc:
+        mask_statistic(g, build_anchor(g).masks + (bad,))
+    assert str(exc.value) == message
+
+
+def test_a_bad_cell_raises_under_any_labelling():
+    names = ("zv0", "zv1", "zv2", "t0", "yf1", "yb1")
+    messages = []
+    for g in (triangle(), Multigraph.from_pairs(3, [(0, 2), (2, 1), (1, 0)])):
+        with pytest.raises(StructureViolation) as exc:
+            mask_statistic(g, build_anchor(g).masks + (_mask(g, names),))
+        messages.append(str(exc.value))
+    assert messages == 2 * [
+        "edge 1 double stroke ['backward', 'forward'] is not plain+directed; "
+        "edge 2 carries 0 strokes"
+    ]
 
 
 def test_verify_keeps_the_stroke_errors(monkeypatch):
@@ -656,10 +703,8 @@ def test_verify_keeps_the_stroke_errors(monkeypatch):
     monkeypatch.setattr(sweep_module, "build_anchor", with_bad_cells)
     with pytest.raises(StructureViolation, match="edge 0 carries 0 strokes"):
         verify_graph(BAD_GRAPHS["triangle"])
-    with pytest.warns(UserWarning, match="edge 1 carries 0 strokes"):
-        report = verify_graph(BAD_GRAPHS["path"])
-    (finding,) = [c for c in report.conjectures if c.name == "statistic"]
-    assert report.agree and finding.status == "VIOLATED"
+    with pytest.raises(StructureViolation, match="^edge 1 carries 0 strokes$"):
+        verify_graph(BAD_GRAPHS["path"])
 
 
 def test_theta_closed_forms():

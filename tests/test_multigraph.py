@@ -19,7 +19,6 @@ from cosmopoly.multigraph import (
     is_connected,
     loop_graph,
     multicycle,
-    multicycle_layout,
     multitree,
     one_sum,
     path_graph,
@@ -40,6 +39,7 @@ from oracles import (
     brute_cycle_edge_sets,
     brute_directed_paths,
     dfs_connected_components,
+    multicycle_layout,
     relabeled,
     small_multigraphs,
 )

@@ -1,5 +1,4 @@
 import random
-import warnings
 from collections import Counter
 
 import pytest
@@ -48,7 +47,6 @@ from cosmopoly.triangulation import (
     decorated_view,
     normalized_volume,
     placing_pass,
-    sq_db_counts,
 )
 
 from oracles import (
@@ -62,6 +60,7 @@ from oracles import (
     scan_beyond,
     scan_placing_pass,
     small_multigraphs,
+    sq_db_counts,
     tuple_placing_pass,
     unpacked_placing_pass,
     validate_multicycle_structure,
@@ -577,13 +576,11 @@ def test_sq_db_counts():
     assert sq_db_counts(decorated_view(pts("zv0", "zv1", "ze0"), g)) == (0, 0)
 
 
-def test_decorated_view_warns_off_multicycle():
+def test_decorated_view_raises_off_multicycle():
     g = path_graph(2)
     pts = tuple(point_by_name(g, n) for n in ("zv0", "zv1", "zv2", "t0"))  # edge 1 bare
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.raises(StructureViolation, match="^edge 1 carries 0 strokes$"):
         decorated_view(pts, g)
-    assert caught and "strokes" in str(caught[0].message)
 
 
 def test_decorated_view_raises_on_multicycle():
