@@ -81,7 +81,7 @@ def parse_graph_text(text: str) -> Multigraph:
         if tokens[0] == "vertices":
             if significant_seen:
                 raise GraphFileError(line_no, "'vertices <n>' must be the first line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise GraphFileError(line_no, "header must be 'vertices <n>'")
             header_count = int(tokens[1])
             significant_seen = True
@@ -90,7 +90,7 @@ def parse_graph_text(text: str) -> Multigraph:
         mult = 1
         if len(tokens) == 3 and tokens[2].startswith("*"):
             suffix = tokens[2][1:]
-            if not suffix.isdigit() or int(suffix) < 1:
+            if not suffix.isdecimal() or int(suffix) < 1:
                 raise GraphFileError(line_no, f"bad multiplicity suffix {tokens[2]!r}")
             mult = int(suffix)
             tokens = tokens[:2]
@@ -100,14 +100,14 @@ def parse_graph_text(text: str) -> Multigraph:
     if not raw_edges:
         raise GraphFileError(1, "no edges in file")
     index_mode = header_count is not None or all(
-        a.isdigit() and b.isdigit() for _, a, b, _ in raw_edges
+        a.isdecimal() and b.isdecimal() for _, a, b, _ in raw_edges
     )
     labels: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
     max_index = -1
     for line_no, a, b, mult in raw_edges:
         if index_mode:
-            if not (a.isdigit() and b.isdigit()):
+            if not (a.isdecimal() and b.isdecimal()):
                 raise GraphFileError(line_no, f"expected integer endpoints, got {a!r} {b!r}")
             u, v = int(a), int(b)
             if header_count is not None and (u >= header_count or v >= header_count):

@@ -8,6 +8,20 @@ the supports of the leading terms are the obstructions whose avoidance
 defines the unimodular triangulation.  No Buchberger machinery is involved:
 the basis is written down directly, and its geometric consequences are
 verified downstream.
+
+The two sides of a basis binomial share no variable, so under a lex order
+the side holding the greatest variable leads.  An order is good when every
+fundamental binomial leads with its designated side; every cycle binomial
+(one side all y's, the other all z's) then leads with its y-side.  The y
+leaving the greater end of an edge beats z_u, z_v and z_e: by its relation
+y z_(far end) - z_(near end) z_e, the greatest of those four variables is
+on its side, and it is not the lesser vertex z.  Walk a cycle from its
+greatest vertex w: the first edge's y along the walk beats z_w.  Suppose
+some z_e' on a step a -> b beat every y along.  Then the winning y of e'
+is not along, so z_b > z_a.  The relation of the y leaving a, y(a -> b) z_b -
+z_a z_e', puts that y or z_b above z_e'.  The first contradicts the choice
+of z_e'; the second gives z_b > z_e' > z_w >= z_b.  The reversed walk gives
+the other side.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Budget, as_budget
-from .multigraph import Cycle, Multigraph, Path, simple_cycles, simple_paths
+from .multigraph import Cycle, Edge, Multigraph, Path, simple_cycles, simple_paths
 from .polytope import (
     LatticePoint,
     TPOINT,
@@ -72,15 +86,13 @@ class TermOrder:
         return self._rank[p]
 
     def leading(self, lhs: Monomial, rhs: Monomial) -> Monomial:
-        """Lex comparison: the greatest variable with differing exponent decides."""
-        le = dict(lhs)
-        ri = dict(rhs)
-        for p in sorted(set(le) | set(ri), key=self._rank.__getitem__):
-            a = le.get(p, 0)
-            b = ri.get(p, 0)
-            if a != b:
-                return lhs if a > b else rhs
-        raise AssertionError("binomial sides must be distinct monomials")
+        """The side holding the greatest variable, which is the lex leader
+        when the sides share no variable, as in every basis binomial."""
+        a = min(self._rank[p] for p, _ in lhs)
+        b = min(self._rank[p] for p, _ in rhs)
+        if a == b:
+            raise ValueError("both sides hold the greatest variable")
+        return lhs if a < b else rhs
 
 
 def default_good_order(g: Multigraph, seed: int | None = None) -> TermOrder:
@@ -90,8 +102,11 @@ def default_good_order(g: Multigraph, seed: int | None = None) -> TermOrder:
     Each class is read off :func:`lattice_points`, which lists every kind in
     ascending index, so only the backward y's need reversing.  With ``seed``
     the interior of each class is shuffled reproducibly, which is useful for
-    probing order dependence.  Either way the class ranking holds, so every
-    order returned passes :func:`is_good_order`.
+    probing order dependence.  Either way every order returned passes
+    :func:`is_good_order`: five of an edge's six fundamental binomials hold
+    a y on their designated side and only z's on the other, and the sixth,
+    t_f z_f - z_u z_v, like a loop's t_f z_f - z_u^2, holds an edge z, which
+    ranks above every vertex z.
     """
     pts = lattice_points(g)
     kinds = (YFORWARD, YBACKWARD, ZEDGE, TPOINT, ZVERTEX)
@@ -140,6 +155,30 @@ def _walk_binomial(steps, mask: int, lhs: list, rhs: list, family: str, witness:
     return Binomial(monomial(lhs), monomial(rhs), family, witness)
 
 
+# The six relations of a non-loop edge f = (u, v), and the one of a loop, as
+# the roles of their variables on each side, the designated side first: y_f
+# forward and backward, t_f, z_f, and the vertex z's of u and v.
+EDGE_RELATIONS = (
+    (("yf", "yb"), ("ze", "ze")),
+    (("yf", "t"), ("zu", "zu")),
+    (("yb", "t"), ("zv", "zv")),
+    (("yf", "zv"), ("zu", "ze")),
+    (("yb", "zu"), ("zv", "ze")),
+    (("t", "ze"), ("zu", "zv")),
+)
+LOOP_RELATIONS = ((("t", "ze"), ("zu", "zu")),)
+
+
+def _roles(var: dict, e: Edge) -> tuple[dict, tuple]:
+    """What ``var``, keyed by (kind, index), holds for the variables of edge
+    e, by role, and the relations among them."""
+    role = {"t": var[TPOINT, e.id], "ze": var[ZEDGE, e.id], "zu": var[ZVERTEX, e.u]}
+    if e.is_loop:
+        return role, LOOP_RELATIONS
+    role.update(yf=var[YFORWARD, e.id], yb=var[YBACKWARD, e.id], zv=var[ZVERTEX, e.v])
+    return role, EDGE_RELATIONS
+
+
 def fundamental_binomials(g: Multigraph) -> list[Binomial]:
     """Six binomials per non-loop edge; a loop keeps only t_f z_f - z_u^2.
 
@@ -149,25 +188,10 @@ def fundamental_binomials(g: Multigraph) -> list[Binomial]:
     var = _variables(g)
     out = []
     for e in g.edges:
-        zu = var[ZVERTEX, e.u]
-        zf = var[ZEDGE, e.id]
-        tf = var[TPOINT, e.id]
-        if e.is_loop:
-            out.append(Binomial(monomial([tf, zf]), monomial([zu, zu]), FUNDAMENTAL, (e.id,)))
-            continue
-        zv = var[ZVERTEX, e.v]
-        yf = var[YFORWARD, e.id]
-        yb = var[YBACKWARD, e.id]
-        pairs = [
-            ([yf, yb], [zf, zf]),
-            ([yf, tf], [zu, zu]),
-            ([yb, tf], [zv, zv]),
-            ([yf, zv], [zu, zf]),
-            ([yb, zu], [zv, zf]),
-            ([tf, zf], [zu, zv]),
-        ]
-        for lhs, rhs in pairs:
-            out.append(Binomial(monomial(lhs), monomial(rhs), FUNDAMENTAL, (e.id,)))
+        role, relations = _roles(var, e)
+        for lhs, rhs in relations:
+            out.append(Binomial(monomial(role[r] for r in lhs), monomial(role[r] for r in rhs),
+                                FUNDAMENTAL, (e.id,)))
     return out
 
 
@@ -216,42 +240,16 @@ def cyclic_binomials(g: Multigraph, budget: Budget | int | None = None) -> list[
     return out
 
 
-def _class_ranked(order: TermOrder, g: Multigraph) -> bool:
-    """Sufficient structural condition for goodness: every y-variable ranks
-    above every edge- and vertex-z, and every t above every vertex-z.
-
-    Under it the designated fundamental terms lead (the deciding variable is
-    always on the designated side) and every cycle binomial leads with its
-    y-side (y's and z's are disjoint, so the greatest differing variable is a
-    y).  This lets the common case skip cycle enumeration entirely.
-    """
-    ranks: dict[str, list[int]] = {}
-    for p in lattice_points(g):
-        ranks.setdefault(p.kind, []).append(order.rank(p))
-    y_max = max(ranks.get(YFORWARD, []) + ranks.get(YBACKWARD, []), default=-1)
-    z_min = min(ranks.get(ZEDGE, []) + ranks[ZVERTEX])
-    t_max = max(ranks.get(TPOINT, []), default=-1)
-    zv_min = min(ranks[ZVERTEX])
-    return y_max < z_min and t_max < zv_min
-
-
-def is_good_order(order: TermOrder, g: Multigraph, budget: Budget | int | None = None) -> bool:
-    """True iff every fundamental binomial leads with its designated term and
-    every cycle binomial (one side all y's, the other all z's) leads with the
-    y-side."""
-    if _class_ranked(order, g):
-        return True
-    bud = as_budget(budget)
-    for b in fundamental_binomials(g):
-        if order.leading(b.lhs, b.rhs) is not b.lhs:
-            return False
-    var = _variables(g)
-    for cycle in simple_cycles(g):
-        bud.spend(len(cycle.edges))
-        steps = _steps(var, g, cycle)
-        for mask in (0, (1 << len(steps)) - 1):  # all z's on the left, then all y's
-            b = _walk_binomial(steps, mask, [], [], CYCLIC, (cycle, mask))
-            if order.leading(b.lhs, b.rhs) is not (b.lhs if mask else b.rhs):
+def is_good_order(order: TermOrder, g: Multigraph) -> bool:
+    """True iff every fundamental binomial leads with its designated side,
+    that is, iff its greatest variable is there.  Every cycle binomial then
+    leads with its y-side, by the lemma of the module docstring, so no cycle
+    is checked."""
+    ranks = {(p.kind, p.index): order.rank(p) for p in lattice_points(g)}
+    for e in g.edges:
+        rank, relations = _roles(ranks, e)
+        for (a, b), (c, d) in relations:
+            if min(rank[a], rank[b]) > min(rank[c], rank[d]):
                 return False
     return True
 

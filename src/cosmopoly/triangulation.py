@@ -400,7 +400,7 @@ def placing_pass(
     bud = as_budget(budget)
     if order is None:
         order = default_good_order(g)
-    if not is_good_order(order, g, bud):
+    if not is_good_order(order, g):
         raise BadTermOrder("term order fails the goodness check on this graph")
     points = lattice_points(g)
     pk = Packing.of(g) if packing is None else packing

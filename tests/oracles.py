@@ -17,8 +17,14 @@ with its masks read off the facet subgraphs, replaced.  The
 adjacency-list search for components is the route that the bit-mask
 closure of the graph layer replaced.  The statistic summed over cells
 rendered by ``decorated_view`` is the route that the bitwise tally off the
-cell masks replaced.  The visibility oracle keeps the anchor perturbation schedule that the lexicographic
-tie-break replaced, so it breaks no tie, and takes only the base anchor
+cell masks replaced.  The goodness check by its definition, a
+class-ranking shortcut and then a lex comparison of every fundamental
+binomial and of every cycle binomial with its y's on one side, is the
+route that the rank test of the fundamental binomials replaced, and its
+lex comparison is the route that the greatest-variable rule of
+``TermOrder.leading`` replaced.  The visibility oracle keeps the anchor
+perturbation schedule that the lexicographic tie-break replaced, so it
+breaks no tie, and takes only the base anchor
 from the library; the box counter and the pairwise sumset take only the
 lattice points and facets, the cell search only the lattice points and an
 obstruction set, the dilate inversion only the dilate counts, which the box
@@ -292,14 +298,9 @@ def definition_zigzag_sides(g: Multigraph) -> Counter:
     return out
 
 
-def definition_cyclic_sides(g: Multigraph) -> dict[tuple, Counter]:
-    """Cyclic binomials as (left, right) point-name multisets, for each cycle
-    edge set and each of its two orientations: every subset of the edges
-    puts their y along the orientation on the left with the z_edge of the
-    rest, and their z_edge on the right with the y of the rest against it.
-    Keyed by (edge set, a, b) where a -> b is the orientation on the cycle's
-    least edge."""
-    out = {}
+def _cycle_walks(g: Multigraph) -> Iterator[tuple[frozenset[int], list[tuple[int, int, int]]]]:
+    """Each cycle edge set with each of its two orientations, as the steps
+    (a, b, edge id) of a walk that starts on the cycle's least edge."""
     for ids in brute_cycle_edge_sets(g):
         first = g.edges[min(ids)]
         steps = [(first.u, first.v, first.id)]
@@ -308,14 +309,93 @@ def definition_cyclic_sides(g: Multigraph) -> dict[tuple, Counter]:
             left = sorted(ids - {eid for _, _, eid in steps})
             e = next(g.edges[i] for i in left if at in (g.edges[i].u, g.edges[i].v))
             steps.append((at, e.v if e.u == at else e.u, e.id))
-        back = [(first.v, first.u, first.id)] + [(b, a, eid) for a, b, eid in reversed(steps[1:])]
-        for walk in (steps, back):
-            sides: Counter = Counter()
-            for r in range(len(walk) + 1):
-                for along in combinations(range(len(walk)), r):
-                    sides[_split_walk(g, walk, set(along), [], [])] += 1
-            out[ids, walk[0][0], walk[0][1]] = sides
+        yield ids, steps
+        yield ids, [(first.v, first.u, first.id)] + [(b, a, eid) for a, b, eid in reversed(steps[1:])]
+
+
+def definition_cyclic_sides(g: Multigraph) -> dict[tuple, Counter]:
+    """Cyclic binomials as (left, right) point-name multisets, for each cycle
+    edge set and each of its two orientations: every subset of the edges
+    puts their y along the orientation on the left with the z_edge of the
+    rest, and their z_edge on the right with the y of the rest against it.
+    Keyed by (edge set, a, b) where a -> b is the orientation on the cycle's
+    least edge."""
+    out = {}
+    for ids, walk in _cycle_walks(g):
+        sides: Counter = Counter()
+        for r in range(len(walk) + 1):
+            for along in combinations(range(len(walk)), r):
+                sides[_split_walk(g, walk, set(along), [], [])] += 1
+        out[ids, walk[0][0], walk[0][1]] = sides
     return out
+
+
+def cycle_y_sides(g: Multigraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The cycle binomials with every y on one side, as (y names, z names):
+    one per cycle edge set and orientation, the y's along it."""
+    return [_split_walk(g, walk, set(range(len(walk))), [], []) for _, walk in _cycle_walks(g)]
+
+
+def definition_fundamental_sides(g: Multigraph) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The fundamental binomials as (designated side, other side) point-name
+    multisets: for a non-loop edge f = (u, v), yf yb - ze^2, yf t - zu^2,
+    yb t - zv^2, yf zv - zu ze, yb zu - zv ze and t ze - zu zv; for a loop,
+    t ze - zu^2."""
+    out = []
+    for e in g.edges:
+        f, zu, zv = e.id, f"zv{e.u}", f"zv{e.v}"
+        yf, yb, t, ze = f"yf{f}", f"yb{f}", f"t{f}", f"ze{f}"
+        pairs = [([t, ze], [zu, zu])] if e.is_loop else [
+            ([yf, yb], [ze, ze]),
+            ([yf, t], [zu, zu]),
+            ([yb, t], [zv, zv]),
+            ([yf, zv], [zu, ze]),
+            ([yb, zu], [zv, ze]),
+            ([t, ze], [zu, zv]),
+        ]
+        out.extend((tuple(sorted(a)), tuple(sorted(b))) for a, b in pairs)
+    return out
+
+
+def name_ranks(order: TermOrder) -> dict[str, int]:
+    return {p.name: i for i, p in enumerate(order.ranked)}
+
+
+def lex_leads(rank: dict[str, int], lhs: Sequence[str], rhs: Sequence[str]) -> bool:
+    """Whether ``lhs`` leads ``rhs`` in the lex order of ``rank`` (point name
+    to rank, greatest first): the greatest variable whose exponents differ
+    has the larger exponent on the left."""
+    a, b = Counter(lhs), Counter(rhs)
+    for name in sorted(a.keys() | b.keys(), key=rank.__getitem__):
+        if a[name] != b[name]:
+            return a[name] > b[name]
+    raise AssertionError("binomial sides must be distinct monomials")
+
+
+def class_ranked(order: TermOrder, g: Multigraph) -> bool:
+    """Every y ranks above every edge and vertex z, and every t above every
+    vertex z: a sufficient condition for goodness, which every order of
+    ``default_good_order`` meets."""
+    rank = name_ranks(order)
+    by_kind: dict[str, list[int]] = defaultdict(list)
+    for p in lattice_points(g):
+        by_kind[p.kind].append(rank[p.name])
+    ys = by_kind["yf"] + by_kind["yb"]
+    return (max(ys, default=-1) < min(by_kind["ze"] + by_kind["zv"])
+            and max(by_kind["t"], default=-1) < min(by_kind["zv"]))
+
+
+def cycle_checked_good_order(order: TermOrder, g: Multigraph) -> bool:
+    """The goodness check by its definition: a class-ranked order is good;
+    any other is good when every fundamental binomial leads with its
+    designated side and every cycle binomial with all its y's on one side
+    leads with them, each compared by :func:`lex_leads`."""
+    if class_ranked(order, g):
+        return True
+    rank = name_ranks(order)
+    return all(lex_leads(rank, *sides) for sides in definition_fundamental_sides(g)) and all(
+        lex_leads(rank, *sides) for sides in cycle_y_sides(g)
+    )
 
 
 def brute_cells(g: Multigraph, obstructions) -> tuple[set[frozenset], bool]:
@@ -420,16 +500,15 @@ def scan_placing_pass(
     the points placed.  A facet of the new cells that no later point lies
     beyond is dropped; every other one is kept on the boundary, and each
     later point is coned over the boundary facets it lies beyond, in the
-    order they were kept.  Besides the nodes of the goodness check it
-    charges one node per boundary facet scanned, per cell made and per
-    later point tested against a new facet.
+    order they were kept.  It charges one node per boundary facet scanned,
+    per cell made and per later point tested against a new facet.
     """
     if not is_connected(g):
         raise DisconnectedGraph("triangulation enumeration requires a connected graph")
     bud = as_budget(budget)
     if order is None:
         order = default_good_order(g)
-    if not is_good_order(order, g, bud):
+    if not is_good_order(order, g):
         raise BadTermOrder("term order fails the goodness check on this graph")
     points = lattice_points(g)
     coords = [p.coords for p in points]
@@ -511,7 +590,7 @@ def tuple_placing_pass(
     bud = as_budget(budget)
     if order is None:
         order = default_good_order(g)
-    if not is_good_order(order, g, bud):
+    if not is_good_order(order, g):
         raise BadTermOrder("term order fails the goodness check on this graph")
     points = lattice_points(g)
     # a point's nonzero coordinates (k, c_k), at most three, padded with (0, 0)

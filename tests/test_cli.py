@@ -60,6 +60,8 @@ def test_parse_labels_first_appearance_order():
     g = parse_graph_text("b a\na c\n")
     assert g.vertex_count == 3
     assert g.edge_pairs() == ((0, 1), (1, 2))
+    g = parse_graph_text("0 \u00b2\n")  # a superscript two is a label, not an index
+    assert g.vertex_count == 2 and g.edge_pairs() == ((0, 1),)
 
 
 def test_parse_header_comments_multiplicity_loop():
@@ -318,8 +320,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [("vertices x\n", "line 1: header must be 'vertices <n>'"),
-     ("vertices 3\na b\n", "line 2: expected integer endpoints, got 'a' 'b'")],
-    ids=["bad-header", "labels-under-header"],
+     ("vertices 3\na b\n", "line 2: expected integer endpoints, got 'a' 'b'"),
+     # int() rejects a superscript digit that str.isdigit() accepts
+     ("vertices \u00b2\n", "line 1: header must be 'vertices <n>'"),
+     ("vertices 2\n0 \u00b2\n", "line 2: expected integer endpoints, got '0' '\u00b2'"),
+     ("0 1 *\u00b2\n", "line 1: bad multiplicity suffix '*\u00b2'")],
+    ids=["bad-header", "labels-under-header", "superscript-header", "superscript-endpoint",
+         "superscript-multiplicity"],
 )
 def test_parse_error_messages(tmp_path, capsys, text, message):
     assert invoke(capsys, "info", graph_file(tmp_path, text)) == (

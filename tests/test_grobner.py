@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -39,11 +40,18 @@ from cosmopoly.polytope import (
 )
 from cosmopoly.sweep import enumerate_connected_multigraphs
 
+import oracles
 from oracles import (
+    class_ranked,
+    cycle_checked_good_order,
+    cycle_y_sides,
     definition_cyclic_sides,
+    definition_fundamental_sides,
     definition_zigzag_sides,
     is_balanced,
+    lex_leads,
     monomial_image,
+    name_ranks,
     small_multigraphs,
 )
 
@@ -94,12 +102,119 @@ def test_default_order_is_good(g):
 @pytest.mark.parametrize("seed", [None, 1, 7])
 def test_default_order_is_good_on_sweep(seed, monkeypatch):
     # the triangulate command relies on this instead of checking each order;
-    # the second pass skips the class-ranking shortcut and checks every
-    # fundamental and cycle binomial
+    # the second pass skips the oracle's class-ranking shortcut and checks
+    # every fundamental and cycle binomial
     graphs = list(enumerate_connected_multigraphs(6))
-    assert all(is_good_order(default_good_order(g, seed), g) for g in graphs)
-    monkeypatch.setattr(grobner, "_class_ranked", lambda order, g: False)
-    assert all(is_good_order(default_good_order(g, seed), g) for g in graphs)
+    orders = [default_good_order(g, seed) for g in graphs]
+    assert all(is_good_order(o, g) and class_ranked(o, g) for o, g in zip(orders, graphs))
+    monkeypatch.setattr(oracles, "class_ranked", lambda order, g: False)
+    assert all(cycle_checked_good_order(o, g) for o, g in zip(orders, graphs))
+
+
+K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def fundamental_good_orders(g, rng, count):
+    """``count`` orders of g that are not class-ranked, each hill-climbed
+    from a shuffle until every fundamental binomial leads: a variable of a
+    failing binomial's designated side moves just above the greatest
+    variable of its other side."""
+    point = {p.name: p for p in lattice_points(g)}
+    sides = definition_fundamental_sides(g)
+    out = []
+    for _ in range(50 * count):
+        ranked = list(point)
+        rng.shuffle(ranked)
+        for _ in range(200):
+            rank = {n: i for i, n in enumerate(ranked)}
+            failing = [s for s in sides if not lex_leads(rank, *s)]
+            if not failing:
+                order = TermOrder([point[n] for n in ranked])
+                if not class_ranked(order, g):
+                    out.append(order)
+                break
+            lhs, rhs = rng.choice(failing)
+            top = min(rank[n] for n in rhs)
+            moved = rng.choice(lhs)
+            ranked.remove(moved)
+            ranked.insert(top, moved)
+        if len(out) == count:
+            return out
+    raise AssertionError(f"no {count} fundamental-good orders of {g} found")
+
+
+def test_good_order_check_equals_its_definition():
+    # the rank test of the fundamental binomials against the class-ranking
+    # shortcut, then lex comparisons of fundamental and cycle binomials
+    rng = random.Random(3)
+    verdicts = Counter()
+    for g in enumerate_connected_multigraphs(7):
+        points = lattice_points(g)
+        orders = [default_good_order(g, seed) for seed in (None, 1, 7)]
+        for _ in range(20):
+            rng.shuffle(points)
+            orders.append(TermOrder(points))
+        orders += fundamental_good_orders(g, rng, 3)
+        for order in orders:
+            good = is_good_order(order, g)
+            assert good == cycle_checked_good_order(order, g), (g, order.ranked)
+            verdicts[good, class_ranked(order, g)] += 1
+    assert verdicts[True, False] >= 46 * 3 and verdicts[False, False] > 0
+
+
+def test_cycle_binomials_lead_under_every_fundamental_good_order():
+    # the lemma of the grobner module docstring, on orders the shortcut misses
+    rng = random.Random(11)
+    graphs = cycles = 0
+    for g in enumerate_connected_multigraphs(8):
+        y_sides = cycle_y_sides(g)
+        if not y_sides:
+            continue
+        graphs += 1
+        for order in fundamental_good_orders(g, rng, 40):
+            assert is_good_order(order, g)
+            rank = name_ranks(order)
+            assert all(lex_leads(rank, ys, zs) for ys, zs in y_sides), (g, order.ranked)
+            cycles += len(y_sides)
+    assert (graphs, cycles) == (55, 12320)
+
+
+def test_good_order_check_enumerates_no_cycle(monkeypatch):
+    def refuse(g):
+        raise AssertionError("simple_cycles called")
+
+    monkeypatch.setattr(grobner, "simple_cycles", refuse)
+    (order,) = fundamental_good_orders(K4, random.Random(2), 1)
+    assert is_good_order(order, K4) and not class_ranked(order, K4)
+
+
+def test_leading_is_the_lex_leader_of_every_basis_binomial():
+    rng = random.Random(5)
+    for g in [*enumerate_connected_multigraphs(6), K4]:
+        points = lattice_points(g)
+        rng.shuffle(points)
+        for order in (default_good_order(g), default_good_order(g, 7), TermOrder(points)):
+            rank = name_ranks(order)
+            for b in fundamental_binomials(g) + zigzag_binomials(g) + cyclic_binomials(g):
+                lead = b.lhs if lex_leads(rank, *name_sides(b)) else b.rhs
+                assert order.leading(b.lhs, b.rhs) is lead, (g, b)
+
+
+def test_leading_refuses_sides_that_share_the_greatest_variable():
+    g = single_edge()
+    order = default_good_order(g)
+    pts = {p.name: p for p in lattice_points(g)}
+    yf, yb, ze, zv = pts["yf0"], pts["yb0"], pts["ze0"], pts["zv0"]
+    lhs = grobner.monomial([yf, ze])
+    assert order.leading(lhs, grobner.monomial([yb, ze])) is lhs
+    with pytest.raises(ValueError, match="both sides hold the greatest variable"):
+        order.leading(lhs, grobner.monomial([yf, zv]))
+
+
+def test_term_order_refuses_a_repeated_variable():
+    (p, *_) = lattice_points(single_edge())
+    with pytest.raises(ValueError, match="duplicate variable"):
+        TermOrder([p, p])
 
 
 def test_vertex_heavy_order_is_not_good():
@@ -130,6 +245,12 @@ def test_fundamental_counts():
     assert len(fundamental_binomials(single_edge())) == 6
     assert len(fundamental_binomials(loop_graph(1))) == 1
     assert len(fundamental_binomials(triangle())) == 18
+
+
+def test_fundamental_binomials_match_their_definition():
+    for g in [*enumerate_connected_multigraphs(6), K4]:
+        got = [name_sides(b) for b in fundamental_binomials(g)]
+        assert got == definition_fundamental_sides(g), g
 
 
 def test_loop_fundamental_is_degenerate_square():
@@ -164,7 +285,6 @@ def name_sides(b):
 
 def test_walk_families_match_their_definition():
     # counts and balance cannot see a side flipped; the point names on each side can
-    K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     for g in [*enumerate_connected_multigraphs(6), theta_graph(2, 2, 2), K4]:
         assert Counter(map(name_sides, zigzag_binomials(g))) == definition_zigzag_sides(g), g
         got: dict = {}

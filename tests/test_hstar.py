@@ -56,7 +56,7 @@ from cosmopoly.multigraph import (
 )
 from cosmopoly.polytope import TPOINT, count_dilate_points, dimension, lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs, verify_graph
-from cosmopoly.grobner import TermOrder, _class_ranked, default_good_order, is_good_order, obstruction_set
+from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
 from cosmopoly.triangulation import (
     Packing,
     build_triangulation,
@@ -67,6 +67,7 @@ from cosmopoly.triangulation import (
 from oracles import (
     barycentric,
     base_anchor_coords,
+    class_ranked,
     ehrhart_all_dilates,
     perturbed_anchor,
     points_on_cell_facet_hyperplanes,
@@ -95,6 +96,9 @@ def test_polynomial_arithmetic():
     assert poly(0, 2) ** 3 == poly(0, 0, 0, 8)
     assert p(1) == 4 and p(2) == 7
     assert poly(1, 2).coefficient(5) == 0
+    assert p * poly() == poly() == poly() * p
+    with pytest.raises(ValueError, match="negative exponent"):
+        p ** -1
 
 
 def test_polynomial_normalization_and_degree():
@@ -399,6 +403,8 @@ def test_methods_agree(g):
 def test_visibility_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         hstar_visibility(disjoint_union(single_edge(), single_edge()))
+    with pytest.raises(DisconnectedGraph, match="ehrhart route"):
+        hstar_ehrhart(disjoint_union(single_edge(), single_edge()))
 
 
 def test_union_multiplicativity_without_block_shortcut():
@@ -544,6 +550,8 @@ def test_statistic_conjecture_on_theta():
     cells = build_triangulation(g)
     finding = statistic_finding(statistic_polynomial(g, cells), hstar_visibility(g))
     assert finding.status == "HOLDS"
+    off = statistic_finding(poly(1, 3), hstar_visibility(g))
+    assert off.status == "VIOLATED" and off.detail.startswith("statistic 1 + 3z differs from h* ")
 
 
 # loops ahead of, between and after the other edges, so that the y-points'
@@ -589,7 +597,7 @@ def test_every_cell_of_a_good_order_obeys_the_stroke_rule(name):
     assert len(graphs) == 93
     for g in graphs:
         order = STROKE_ORDERS[name](g)
-        assert is_good_order(order, g) and _class_ranked(order, g) == (name != "unranked")
+        assert is_good_order(order, g) and class_ranked(order, g) == (name != "unranked")
         obstructions = set(obstruction_set(g, order))
         point = {p.name: p for p in lattice_points(g)}
         for e in g.edges:

@@ -123,6 +123,8 @@ def test_facets_reject_disconnected():
 
 def test_dilate_counts_single_edge():
     g = single_edge()
+    with pytest.raises(ValueError, match="dilation factor must be nonnegative"):
+        count_dilate_points(g, -1)
     assert count_dilate_points(g, 0) == 1
     assert count_dilate_points(g, 1) == 6
     assert count_dilate_points(g, 2) == 15
