@@ -65,13 +65,12 @@ from .triangulation import (
     build_triangulation,
     decorated_view,
     normalized_volume,
+    placed,
 )
 # the method dispatcher lives at cosmopoly.hstar.hstar; re-exporting it here
 # would shadow the submodule name
 from .hstar import (
-    AnchorPoint,
     IntPolynomial,
-    build_anchor,
     check_structure_theorems,
     check_upper_bound_conjecture,
     hstar_blocks,

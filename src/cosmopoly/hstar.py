@@ -38,7 +38,7 @@ and :func:`mask_statistic` raises StructureViolation on it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     Budget,
@@ -62,10 +62,7 @@ from .multigraph import (
     is_connected,
 )
 from .polytope import _sumsets, dimension
-from .triangulation import Simplex, cells_from_masks, decorated_view, placed
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .triangulation import cells_from_masks, decorated_view, placed
 
 
 class IntPolynomial:
@@ -209,71 +206,6 @@ def theta_hstar(k: int, l: int, m: int) -> IntPolynomial:
 # Visibility route
 
 
-class AnchorPoint(NamedTuple):
-    """Strictly positive point inside the polytope, on the ray of its
-    primitive integer vector ``integer_coords``, the anchor every placing
-    pass carries, with the cells of the placing triangulation and their
-    visibility histogram, both from that one pass:
-    ``visible_counts[i]`` cells have exactly i facets visible from the
-    anchor, a facet whose hyperplane holds it being decided by the
-    lexicographic tie-break of ``Packing.negatives``.
-    ``perturbation_index`` is always 0: the anchor is never moved.  The
-    cells are kept as bit masks of point indices, and ``coords`` and
-    ``cells`` are computed each time they are read."""
-
-    integer_coords: tuple[int, ...]
-    perturbation_index: int
-    visible_counts: tuple[int, ...]
-    graph: Multigraph
-    masks: tuple[int, ...]  # the cells as bit masks of point indices
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        """The anchor's exact coordinates, of sum 1."""
-        from fractions import Fraction
-
-        total = sum(self.integer_coords)
-        return tuple(Fraction(c, total) for c in self.integer_coords)
-
-    @property
-    def cells(self) -> tuple[Simplex, ...]:
-        """The cells, sorted as by ``build_triangulation``."""
-        return tuple(cells_from_masks(self.graph, self.masks))
-
-    def __repr__(self) -> str:
-        return (
-            f"AnchorPoint(coords={self.coords!r}, "
-            f"perturbation_index={self.perturbation_index!r}, "
-            f"visible_counts={self.visible_counts!r})"
-        )
-
-
-def build_anchor(
-    g: Multigraph,
-    order: TermOrder | None = None,
-    budget: Budget | int | None = None,
-) -> AnchorPoint:
-    """The anchor for the half-open decomposition of the placing
-    triangulation of ``order``, with its cells and the count of cells per
-    number of visible facets, as read by the one placing pass that
-    :func:`~cosmopoly.triangulation.placed` charges to ``budget`` (two if
-    an inverse entry leaves the narrow width).  That is the pass
-    :func:`~cosmopoly.triangulation.build_triangulation` runs, so the
-    cells are its cells.
-
-    Every pass carries the anchor Q of
-    :func:`~cosmopoly.triangulation.base_anchor`, the integer point that
-    weights vertices (2|V|+1)/(2|V|(|V|+1)) and edges 1/(2|E|(|V|+1)) up
-    to scale; no fraction is formed.  Each cell's facet values at the
-    anchor are read off its integer inverse; one that is 0 is decided
-    lexicographically, as at the anchor moved by eps e_1 + eps^2 e_2 + ...
-    for a small eps > 0, which stays inside the polytope's cone.  So exactly one of two cells
-    sharing a facet sees it, and the decomposition holds for every anchor.
-    """
-    anchor, masks, counts = placed(g, order, budget)
-    return AnchorPoint(anchor, 0, tuple(counts), g, tuple(masks))
-
-
 def hstar_visibility(
     g: Multigraph,
     order: TermOrder | None = None,
@@ -281,8 +213,10 @@ def hstar_visibility(
 ) -> IntPolynomial:
     """h* of the connected graph ``g`` from the placing triangulation of
     ``order`` (the default order when None): h*_i is the number of cells with
-    exactly i facets visible from the anchor of :func:`build_anchor`."""
-    return IntPolynomial(build_anchor(g, order, budget).visible_counts)
+    exactly i facets visible from the anchor of
+    :func:`~cosmopoly.triangulation.placed`, which places the cells in one
+    pass."""
+    return IntPolynomial(placed(g, order, budget)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ orientation everywhere downstream.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Budget, GraphError, as_budget
@@ -50,9 +51,14 @@ class Multigraph:
                 raise GraphError(f"edge {pos} endpoint out of range")
             covered.add(e.u)
             covered.add(e.v)
-        isolated = [v for v in range(vertex_count) if v not in covered]
+        isolated = vertex_count - len(covered)
         if isolated:
-            raise GraphError(f"isolated vertices not allowed: {isolated}")
+            # name the first five, so a huge vertex count costs no more
+            first = list(islice((v for v in range(vertex_count) if v not in covered), 5))
+            shown = str(first)
+            if isolated > 5:
+                shown = f"{shown[:-1]}, ...] ({isolated} in all)"
+            raise GraphError(f"isolated vertices not allowed: {shown}")
         self.vertex_count = vertex_count
         self.edges = edges
 

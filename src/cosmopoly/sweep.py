@@ -11,7 +11,6 @@ from .hstar import (
     VISIBILITY_POINT_CAP,
     ConjectureFinding,
     IntPolynomial,
-    build_anchor,
     check_structure_theorems,
     check_upper_bound_conjecture,
     hstar,
@@ -22,6 +21,7 @@ from .hstar import (
 )
 from .multigraph import GraphError, Multigraph, is_connected, theta_graph
 from .polytope import dimension, lattice_points
+from .triangulation import placed
 
 def canonical_form(g: Multigraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact isomorphism-invariant labelling of a multigraph: two graphs get
@@ -118,9 +118,10 @@ def verify_graph(
     routes check each other on a graph that is one such block.  Visibility
     runs when the lattice-point count permits, ehrhart when the dimension
     permits; a budget overrun on the optional routes is recorded as a skip
-    rather than an error.  On a connected graph the statistic check reads
-    the masks of the visibility cells (:func:`mask_statistic`), so no cell
-    is decoded, sorted or rendered unless one breaks the stroke rule, which
+    rather than an error.  On a connected graph visibility is one
+    :func:`~cosmopoly.triangulation.placed` pass, and the statistic check
+    reads the cell masks it returns (:func:`mask_statistic`), so no cell is
+    decoded, sorted or rendered unless one breaks the stroke rule, which
     raises StructureViolation.
     """
     bud = as_budget(budget)
@@ -128,12 +129,12 @@ def verify_graph(
     skipped: dict[str, str] = {}
     methods["blocks"] = hstar_blocks(g, bud, (order_seed or 0) + 1)
 
-    anchor = None
+    masks = None
     if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
         try:
             if is_connected(g):
-                anchor = build_anchor(g, default_good_order(g, seed=order_seed), bud)
-                methods["visibility"] = IntPolynomial(anchor.visible_counts)
+                masks, counts = placed(g, default_good_order(g, seed=order_seed), bud)
+                methods["visibility"] = IntPolynomial(counts)
             else:
                 methods["visibility"] = hstar(g, "visibility", bud, order_seed)
         except BudgetExceeded as exc:
@@ -156,8 +157,8 @@ def verify_graph(
     h = methods["blocks"]
     theorem_checks = check_structure_theorems(g, h)
     conjectures = [check_upper_bound_conjecture(g, h)]
-    if anchor is not None:
-        conjectures.append(statistic_finding(mask_statistic(g, anchor.masks), h))
+    if masks is not None:
+        conjectures.append(statistic_finding(mask_statistic(g, masks), h))
     return VerifyReport(methods, skipped, True, theorem_checks, conjectures)
 
 

@@ -128,11 +128,11 @@ def build_triangulation(
 ) -> list[Simplex]:
     """The placing triangulation of a good term order (the default order when
     ``order`` is None), its cells sorted by canonical point indices: the
-    cells of the anchored pass that :func:`~cosmopoly.hstar.build_anchor`
-    reads.  One budget node is charged per cell made and per point still to
-    come tested against a new facet."""
+    cells of the anchored pass of :func:`placed`, whose visible-facet counts
+    the visibility route reads.  One budget node is charged per cell made
+    and per point still to come tested against a new facet."""
     # placed in full first, so that the placing state is freed before the sort
-    _, masks, _ = placed(g, order, budget)
+    masks, _ = placed(g, order, budget)
     return cells_from_masks(g, masks)
 
 
@@ -339,19 +339,26 @@ def placed(
     g: Multigraph,
     order: TermOrder | None = None,
     budget: Budget | int | None = None,
-) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """The anchor the pass carried, the cells of :func:`placing_pass` as
-    bit masks, in the order made, and the visibility histogram: ``counts[i]``
-    cells have exactly i facets visible from the anchor
+) -> tuple[list[int], list[int]]:
+    """The cells of :func:`placing_pass` as bit masks, in the order made,
+    and the visibility histogram: ``counts[i]`` cells have exactly i facets
+    visible from the anchor :func:`base_anchor` that the pass carries
     (:meth:`Packing.negatives`).  Both are collected a step's batch at a
-    time.
+    time.  With the facets it sees removed, each cell is half-open and the
+    cells partition the polytope; each is unimodular, so the counts are h*
+    (Stanley 1980).
+
+    A facet value of 0 at the anchor is decided as at the anchor moved by
+    eps e_1 + eps^2 e_2 + ... for a small eps > 0, which stays inside the
+    polytope's cone: exactly one of two cells sharing a facet sees it, and
+    the decomposition holds for every anchor.
 
     The pass runs at the narrow width; if an inverse entry leaves
     :data:`WINDOW`, it runs again at Hadamard's width, and ``budget`` is
     charged for both runs."""
     bud = as_budget(budget)
 
-    def run(pk: Packing) -> tuple[tuple[int, ...], list[int], list[int]]:
+    def run(pk: Packing) -> tuple[list[int], list[int]]:
         # Row j of a cell's inverse is the facet functional opposite its
         # point p_j, 1 on p_j, and its anchor entry is y_j, the row times
         # the anchor Q; y_j < 0 iff facet j is visible from Q.  The p_j have
@@ -363,7 +370,7 @@ def placed(
             for _, mask, inverse in batch:
                 masks.append(mask)
                 counts[negatives(inverse)] += 1
-        return pk.anchor, masks, counts
+        return masks, counts
 
     try:
         return run(Packing.of(g))

@@ -1029,8 +1029,8 @@ MAX_ANCHOR_RETRIES = 32
 
 
 def base_anchor_coords(g: Multigraph) -> list[Fraction]:
-    """The exact coordinates, of sum 1, of the integer anchor of
-    ``build_anchor``."""
+    """The exact coordinates, of sum 1, of the integer anchor
+    ``triangulation.base_anchor`` that every placing pass carries."""
     q = base_anchor(g)
     total = sum(q)
     return [Fraction(c, total) for c in q]

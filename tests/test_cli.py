@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from cosmopoly.hstar import ONE, IntPolynomial
 from cosmopoly.multigraph import Multigraph, bundle, multicycle, path_graph, theta_graph, triangle
 from cosmopoly.polytope import lattice_points
 from cosmopoly.sweep import enumerate_connected_multigraphs, sweep_graphs, sweep_theta, verify_graph
-from cosmopoly.triangulation import build_triangulation
+from cosmopoly.triangulation import build_triangulation, placed
 
 
 def invoke(capsys, *argv):
@@ -296,14 +297,12 @@ def test_library_error_exit_codes(tmp_path, capsys, monkeypatch, error, code, pr
 
 
 def test_verify_exits_check_on_a_cell_that_breaks_the_stroke_rule(tmp_path, capsys, monkeypatch):
-    real = sweep_module.build_anchor
-
     def with_bad_cell(g, order, budget):
-        anchor = real(g, order, budget)
+        masks, counts = placed(g, order, budget)
         bad = [i for i, p in enumerate(lattice_points(g)) if p.name in ("zv0", "zv1", "zv2", "t0")]
-        return anchor._replace(masks=anchor.masks + (sum(1 << i for i in bad),))
+        return masks + [sum(1 << i for i in bad)], counts
 
-    monkeypatch.setattr(sweep_module, "build_anchor", with_bad_cell)
+    monkeypatch.setattr(sweep_module, "placed", with_bad_cell)
     monkeypatch.delenv("COSMOPOLY_CACHE", raising=False)
     path = graph_file(tmp_path, write_graph_text(path_graph(2)))  # the cell leaves edge 1 bare
     assert invoke(capsys, "verify", path) == (
@@ -324,14 +323,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
      # int() rejects a superscript digit that str.isdigit() accepts
      ("vertices \u00b2\n", "line 1: header must be 'vertices <n>'"),
      ("vertices 2\n0 \u00b2\n", "line 2: expected integer endpoints, got '0' '\u00b2'"),
-     ("0 1 *\u00b2\n", "line 1: bad multiplicity suffix '*\u00b2'")],
+     ("0 1 *\u00b2\n", "line 1: bad multiplicity suffix '*\u00b2'"),
+     # up to five isolated vertices are listed; past five, the first five and the count
+     ("vertices 7\n0 1\n", "line 2: isolated vertices not allowed: [2, 3, 4, 5, 6]"),
+     ("vertices 8\n0 1\n", "line 2: isolated vertices not allowed: [2, 3, 4, 5, 6, ...] (6 in all)"),
+     ("vertices 1000000000000\n0 1\n",
+      "line 2: isolated vertices not allowed: [2, 3, 4, 5, 6, ...] (999999999998 in all)")],
     ids=["bad-header", "labels-under-header", "superscript-header", "superscript-endpoint",
-         "superscript-multiplicity"],
+         "superscript-multiplicity", "five-isolated", "six-isolated", "huge-header"],
 )
 def test_parse_error_messages(tmp_path, capsys, text, message):
     assert invoke(capsys, "info", graph_file(tmp_path, text)) == (
         EXIT_PARSE, "", f"error: {message}\n"
     )
+
+
+def test_a_huge_vertex_count_is_refused_at_once():
+    # the isolated vertices are counted, not listed: a header with a few
+    # extra zeros costs no time or memory
+    start = time.perf_counter()
+    with pytest.raises(GraphFileError) as err:
+        parse_graph_text("vertices 1000000000000\n0 1\n")
+    assert time.perf_counter() - start < 0.5
+    assert len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from cosmopoly.hstar import (
     IntPolynomial,
     ONE_PLUS_3Z,
     ONE_PLUS_Z,
-    build_anchor,
     check_structure_theorems,
     check_upper_bound_conjecture,
     ehrhart_count_from_hstar,
@@ -62,6 +61,7 @@ from cosmopoly.triangulation import (
     build_triangulation,
     cells_from_masks,
     decorated_view,
+    placed,
 )
 
 from oracles import (
@@ -154,16 +154,29 @@ def test_multicycle_volume_formula():
     assert hstar_closed_multicycle((2, 1, 1))(1) == 160
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: hstar_closed_bundle(0), "bundle multiplicity must be >= 1"),
+     (lambda: hstar_closed_multicycle((1, 1)), "multicycle needs >= 3 multiplicities, all >= 1"),
+     (lambda: theta_hstar(0, 1, 1), "path lengths must be >= 1"),
+     (lambda: resolve_method(triangle(), "bogus"), "unknown method 'bogus'")],
+    ids=["bundle", "multicycle", "theta", "method"],
+)
+def test_closed_forms_and_dispatch_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Anchor
 
 
 def test_anchor_single_edge_exact():
     g = single_edge()
-    anchor = build_anchor(g)
-    assert anchor.coords == (Fraction(5, 12), Fraction(5, 12), Fraction(1, 6))
-    assert anchor.integer_coords == (5, 5, 2)
-    assert anchor.perturbation_index == 0
+    assert base_anchor_coords(g) == [Fraction(5, 12), Fraction(5, 12), Fraction(1, 6)]
+    assert triangulation_module.base_anchor(g) == [5, 5, 2]
+    assert Packing.of(g).anchor == (5, 5, 2)  # the anchor the pass carries
 
 
 def test_base_anchor_is_the_primitive_point_of_the_published_weights():
@@ -178,17 +191,17 @@ def test_base_anchor_is_the_primitive_point_of_the_published_weights():
 
 def test_anchor_multicycle_matches_published_weights():
     g = multicycle((2, 1, 1))
-    anchor = build_anchor(g)
+    anchor = base_anchor_coords(g)
     n = 3
-    assert anchor.coords[0] == Fraction(1, n) * Fraction(2 * n + 1, 2 * (n + 1))
-    assert anchor.coords[n] == Fraction(1, 4) * Fraction(1, 2 * (n + 1))
+    assert anchor[0] == Fraction(1, n) * Fraction(2 * n + 1, 2 * (n + 1))
+    assert anchor[n] == Fraction(1, 4) * Fraction(1, 2 * (n + 1))
 
 
 def test_anchor_interior_of_loop_segment():
     g = loop_graph(1)
-    anchor = build_anchor(g)
-    assert anchor.coords == (Fraction(3, 4), Fraction(1, 4))
-    assert sum(anchor.coords) == 1
+    anchor = base_anchor_coords(g)
+    assert anchor == [Fraction(3, 4), Fraction(1, 4)]
+    assert sum(anchor) == 1
 
 
 def test_anchor_perturbation_schedule_keeps_invariants():
@@ -208,9 +221,9 @@ def test_anchor_perturbation_schedule_keeps_invariants():
 def test_anchor_strictly_inside_every_facet(g):
     from cosmopoly.polytope import facet_inequalities
 
-    anchor = build_anchor(g)
+    anchor = base_anchor_coords(g)
     for f in facet_inequalities(g):
-        assert sum(c * q for c, q in zip(f.normal, anchor.coords)) > 0
+        assert sum(c * q for c, q in zip(f.normal, anchor)) > 0
 
 
 def _spend(call, *args) -> int:
@@ -220,19 +233,25 @@ def _spend(call, *args) -> int:
 
 
 def anchored_at(monkeypatch, g, order, q, budget):
-    """build_anchor with the anchor q, carried as its primitive integer
-    vector, and the number of cells whose ties it broke: a cell decodes its
-    rows only for that."""
-    decoded, rows = [], Packing.rows
+    """placed with the anchor q, carried as its primitive integer vector,
+    the anchor of each packing laid out, and the number of cells whose ties
+    it broke: a cell decodes its rows only for that."""
+    decoded, carried, rows, of = [], [], Packing.rows, Packing.of.__func__
 
     def decode(pk, inverse):
         decoded.append(inverse)
         return rows(pk, inverse)
 
+    def laid_out(cls, g, proven=False):
+        pk = of(cls, g, proven)
+        carried.append(pk.anchor)
+        return pk
+
     monkeypatch.setattr(triangulation_module, "base_anchor", lambda g: primitive_point(q))
     monkeypatch.setattr(Packing, "rows", decode)
+    monkeypatch.setattr(Packing, "of", classmethod(laid_out))
     try:
-        return build_anchor(g, order, budget), len(decoded)
+        return placed(g, order, budget), carried, len(decoded)
     finally:
         monkeypatch.undo()
 
@@ -243,11 +262,11 @@ def test_anchor_on_a_facet_hyperplane_takes_one_pass(monkeypatch):
     on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base_anchor_coords(g)))
     assert any(0 in barycentric([*s], on_hyperplane) for s in cells)
     bud = Budget(None)
-    anchor, tied = anchored_at(monkeypatch, g, None, on_hyperplane, bud)
+    (masks, counts), carried, tied = anchored_at(monkeypatch, g, None, on_hyperplane, bud)
     assert tied > 0
-    assert (anchor.coords, anchor.perturbation_index) == (tuple(on_hyperplane), 0)
-    assert list(anchor.cells) == cells
-    assert IntPolynomial(anchor.visible_counts) == hstar_closed_multicycle((1, 1, 1))
+    assert carried == [tuple(primitive_point(on_hyperplane))]
+    assert cells_from_masks(g, masks) == cells
+    assert IntPolynomial(counts) == hstar_closed_multicycle((1, 1, 1))
     # the tie-break decides the facets through the anchor: one placing pass
     assert bud.used == _spend(build_triangulation, g)
 
@@ -268,10 +287,11 @@ def test_anchors_on_facet_hyperplanes_are_tie_broken(monkeypatch, seed):
                 h = hstar_blocks(g)
                 assert two_pass_visibility(g, cells)[2] == list(h.coeffs)
             bud = Budget(None)
-            anchor, tied = anchored_at(monkeypatch, g, order, q, bud)
+            (masks, counts), carried, tied = anchored_at(monkeypatch, g, order, q, bud)
             assert tied > 0
-            assert IntPolynomial(anchor.visible_counts) == h
-            assert list(anchor.cells) == cells
+            assert carried == [tuple(primitive_point(q))]
+            assert IntPolynomial(counts) == h
+            assert cells_from_masks(g, masks) == cells
             assert bud.used == spent.used
             anchors += 1
     assert anchors > 40  # 63, 48 and 50 under seeds None, 1 and 7
@@ -306,9 +326,9 @@ def test_visibility_matches_two_pass_oracle():
         for h in (g, relabeled(g, rng), relabeled(g, rng)):
             cells = build_triangulation(h)
             coords, index, coeffs = two_pass_visibility(h, cells)
-            anchor = build_anchor(h)
-            assert (anchor.coords, anchor.perturbation_index) == (coords, index)
-            assert list(anchor.cells) == cells
+            masks, _ = placed(h)
+            assert (coords, index) == (tuple(base_anchor_coords(h)), 0)
+            assert cells_from_masks(h, masks) == cells
             assert hstar_visibility(h).coeffs == tuple(coeffs)
 
 
@@ -338,11 +358,11 @@ K4 = Multigraph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 @pytest.mark.parametrize("g, nodes", [(theta_graph(2, 2, 2), 33_410), (K4, 21_187)],
                          ids=["theta222", "K4"])
-def test_build_anchor_nodes(g, nodes):
+def test_placed_nodes(g, nodes):
     # one placing pass: a node per cell made and per later point tested
     # against a new facet
     bud = Budget(None)
-    build_anchor(g, budget=bud)
+    placed(g, budget=bud)
     assert bud.used == nodes
 
 
@@ -498,23 +518,24 @@ def test_verify_places_an_other_block_under_two_orders(monkeypatch, seed):
     # the Ehrhart cap: the blocks and visibility routes are the only two
     # checks, and they place different cells
     g = Multigraph.from_pairs(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    anchors = {}
+    passes = {}
 
-    def recorded(route, build):
-        def build_and_record(*args, **kwargs):
-            anchors.setdefault(route, []).append(anchor := build(*args, **kwargs))
-            return anchor
-        return build_and_record
+    def recorded(route):
+        def place_and_record(h, *args, **kwargs):
+            passes.setdefault(route, []).append((h, result := placed(h, *args, **kwargs)))
+            return result
+        return place_and_record
 
-    monkeypatch.setattr(hstar_module, "build_anchor", recorded("blocks", build_anchor))
-    monkeypatch.setattr(sweep_module, "build_anchor", recorded("visibility", build_anchor))
+    monkeypatch.setattr(hstar_module, "placed", recorded("blocks"))
+    monkeypatch.setattr(sweep_module, "placed", recorded("visibility"))
     report = verify_graph(g, order_seed=seed)
     assert report.agree and sorted(report.methods) == ["blocks", "visibility"]
-    (by_blocks,), (by_visibility,) = anchors["blocks"], anchors["visibility"]
-    assert by_blocks.graph == by_visibility.graph == g
-    assert by_blocks.visible_counts == by_visibility.visible_counts
-    assert len(by_blocks.masks) == len(by_visibility.masks) == 6656
-    assert set(by_blocks.masks) != set(by_visibility.masks)
+    ((by_blocks, (blocks_masks, blocks_counts)),) = passes["blocks"]
+    ((by_visibility, (visibility_masks, visibility_counts)),) = passes["visibility"]
+    assert by_blocks == by_visibility == g
+    assert blocks_counts == visibility_counts
+    assert len(blocks_masks) == len(visibility_masks) == 6656
+    assert set(blocks_masks) != set(visibility_masks)
 
 
 def test_dispatcher_explicit_methods():
@@ -568,8 +589,8 @@ def test_mask_statistic_matches_rendered_cells(seed):
     graphs = list(enumerate_connected_multigraphs(8))
     assert len(graphs) == 93
     for g in graphs + LOOPED:
-        anchor = build_anchor(g, default_good_order(g, seed=seed))
-        assert mask_statistic(g, anchor.masks) == statistic_polynomial(g, anchor.cells)
+        masks, _ = placed(g, default_good_order(g, seed=seed))
+        assert mask_statistic(g, masks) == statistic_polynomial(g, cells_from_masks(g, masks))
 
 
 def _unranked_order(g):
@@ -606,8 +627,8 @@ def test_every_cell_of_a_good_order_obeys_the_stroke_rule(name):
             ]
             for a, b in forbidden:
                 assert frozenset({point[f"{a}{e.id}"], point[f"{b}{e.id}"]}) in obstructions
-        anchor = build_anchor(g, order)
-        assert mask_statistic(g, anchor.masks) == statistic_polynomial(g, anchor.cells)
+        masks, _ = placed(g, order)
+        assert mask_statistic(g, masks) == statistic_polynomial(g, cells_from_masks(g, masks))
 
 
 def _mask(g, names):
@@ -674,7 +695,7 @@ def test_mask_statistic_keeps_the_stroke_errors():
     assert message.startswith("edge 0 carries 0 strokes")
     # the error names the bad cell that sorts first, wherever it lies
     with pytest.raises(StructureViolation) as exc:
-        mask_statistic(g, build_anchor(g).masks + (second, first))
+        mask_statistic(g, placed(g)[0] + [second, first])
     assert str(exc.value) == message
     # and so does a bad cell off multicycles
     g = BAD_GRAPHS["path"]
@@ -682,7 +703,7 @@ def test_mask_statistic_keeps_the_stroke_errors():
     message = _stroke_problem(g, cells_from_masks(g, [bad])[0])
     assert message == "edge 1 carries 0 strokes"
     with pytest.raises(StructureViolation) as exc:
-        mask_statistic(g, build_anchor(g).masks + (bad,))
+        mask_statistic(g, placed(g)[0] + [bad])
     assert str(exc.value) == message
 
 
@@ -691,7 +712,7 @@ def test_a_bad_cell_raises_under_any_labelling():
     messages = []
     for g in (triangle(), Multigraph.from_pairs(3, [(0, 2), (2, 1), (1, 0)])):
         with pytest.raises(StructureViolation) as exc:
-            mask_statistic(g, build_anchor(g).masks + (_mask(g, names),))
+            mask_statistic(g, placed(g)[0] + [_mask(g, names)])
         messages.append(str(exc.value))
     assert messages == 2 * [
         "edge 1 double stroke ['backward', 'forward'] is not plain+directed; "
@@ -700,15 +721,12 @@ def test_a_bad_cell_raises_under_any_labelling():
 
 
 def test_verify_keeps_the_stroke_errors(monkeypatch):
-    real = sweep_module.build_anchor
-
     def with_bad_cells(g, order, budget):
-        anchor = real(g, order, budget)
+        masks, counts = placed(g, order, budget)
         (name,) = [k for k, h in BAD_GRAPHS.items() if h == g]
-        bad = tuple(_mask(g, names) for names in BAD_CELLS[name])
-        return anchor._replace(masks=anchor.masks + bad)
+        return masks + [_mask(g, names) for names in BAD_CELLS[name]], counts
 
-    monkeypatch.setattr(sweep_module, "build_anchor", with_bad_cells)
+    monkeypatch.setattr(sweep_module, "placed", with_bad_cells)
     with pytest.raises(StructureViolation, match="edge 0 carries 0 strokes"):
         verify_graph(BAD_GRAPHS["triangle"])
     with pytest.raises(StructureViolation, match="^edge 1 carries 0 strokes$"):

@@ -17,7 +17,7 @@ import pytest
 
 import cosmopoly.triangulation as triangulation_module
 from cosmopoly.cli import run
-from cosmopoly.hstar import build_anchor, hstar_ehrhart, hstar_visibility
+from cosmopoly.hstar import hstar_ehrhart, hstar_visibility
 from cosmopoly.multigraph import (
     cycle_graph,
     multicycle,
@@ -28,7 +28,7 @@ from cosmopoly.multigraph import (
 )
 from cosmopoly.polytope import count_dilate_points, lattice_points
 from cosmopoly.sweep import verify_graph
-from cosmopoly.triangulation import Packing, build_triangulation
+from cosmopoly.triangulation import Packing, build_triangulation, placed
 
 from oracles import (
     base_anchor_coords,
@@ -39,17 +39,17 @@ from oracles import (
 
 
 def anchor_with_tie_broken_cells():
-    """build_anchor whose anchor lies on a facet hyperplane of some cells, so
-    that the tie-break decodes their rows."""
+    """placed with an anchor on a facet hyperplane of some cells, so that
+    the tie-break decodes their rows."""
     g = triangle()
     base = triangulation_module.base_anchor
     on_hyperplane = next(points_on_cell_facet_hyperplanes(g, None, base_anchor_coords(g)))
     triangulation_module.base_anchor = lambda g: primitive_point(on_hyperplane)
     try:
-        anchor = build_anchor(g)
+        placed(g)
+        assert Packing.of(g).anchor == tuple(primitive_point(on_hyperplane))
     finally:
         triangulation_module.base_anchor = base
-    assert anchor.coords == tuple(on_hyperplane)
 
 
 def anchored_pass(cells=None):
@@ -65,12 +65,12 @@ def anchored_pass(cells=None):
 CALLS = {
     "anchor_with_tie_broken_cells": anchor_with_tie_broken_cells,
     "cli.run": lambda: run(["conjecture", "theta", "--max-size", "3"]),
-    "build_anchor.cells": lambda: build_anchor(theta_graph(1, 1, 2)).cells,
     "build_triangulation": lambda: build_triangulation(theta_graph(1, 1, 2)),
     "count_dilate_points": lambda: count_dilate_points(cycle_graph(3), 3),
     "hstar_ehrhart": lambda: hstar_ehrhart(triangle()),
     "hstar_ehrhart_with_interior_counts": lambda: hstar_ehrhart(multicycle((2, 1, 1))),
     "hstar_visibility": lambda: hstar_visibility(theta_graph(1, 1, 2)),
+    "placed": lambda: placed(theta_graph(1, 1, 2)),
     "placing_pass.anchored": anchored_pass,
     "placing_pass.anchored_dropped": lambda: anchored_pass(10),
     "verify_graph": lambda: verify_graph(triangle()),

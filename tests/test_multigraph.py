@@ -10,6 +10,7 @@ from cosmopoly.multigraph import (
     LOOP,
     MULTICYCLE,
     SINGLE_EDGE,
+    Edge,
     Multigraph,
     blocks,
     bundle,
@@ -69,6 +70,26 @@ def test_construction_rejects_bad_input():
         Multigraph.from_pairs(2, [(0, 2)])
     with pytest.raises(GraphError):
         Multigraph.from_pairs(0, [])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: path_graph(0), "path needs at least one edge"),
+     (lambda: star_graph(0), "star needs at least one edge"),
+     (lambda: loop_graph(0), "loop graph needs at least one loop"),
+     (lambda: bundle(0), "bundle needs at least one edge"),
+     (lambda: multicycle((1, 1)), "multicycle needs >= 3 multiplicities, all >= 1"),
+     (lambda: multitree(()), "multitree needs multiplicities >= 1"),
+     (lambda: theta_graph(0, 1, 1), "theta path lengths must be >= 1"),
+     (lambda: one_sum(triangle(), single_edge(), v=99), "one_sum vertices out of range"),
+     (lambda: Multigraph(2, (Edge(1, 0, 1),)), "edge ids must be 0..0 in list order")],
+    ids=["path", "star", "loops", "bundle", "multicycle", "multitree", "theta", "one-sum",
+         "edge-ids"],
+)
+def test_builders_refuse_bad_arguments(build, message):
+    with pytest.raises(GraphError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_connected_components():

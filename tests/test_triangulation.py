@@ -15,7 +15,6 @@ from cosmopoly.errors import (
 )
 from cosmopoly.grobner import TermOrder, default_good_order, is_good_order, obstruction_set
 from cosmopoly import triangulation
-from cosmopoly.hstar import build_anchor
 from cosmopoly.multigraph import (
     Multigraph,
     bundle,
@@ -46,6 +45,7 @@ from cosmopoly.triangulation import (
     cells_from_masks,
     decorated_view,
     normalized_volume,
+    placed,
     placing_pass,
 )
 
@@ -287,8 +287,8 @@ def test_placing_pass_takes_its_packing(monkeypatch):
     )
     assert by_packing.used == by_default.used
     assert Packing.of(g).anchor == tuple(base_anchor(g))
-    # build_anchor and build_triangulation each lay out one packing, for the
-    # pass and its reads
+    # placed and build_triangulation each lay out one packing, for the pass
+    # and its reads
     built, of = [], Packing.of.__func__
 
     def counted(cls, g, proven=False):
@@ -296,7 +296,7 @@ def test_placing_pass_takes_its_packing(monkeypatch):
         return of(cls, g, proven)
 
     monkeypatch.setattr(Packing, "of", classmethod(counted))
-    assert build_anchor(g).perturbation_index == 0
+    placed(g)
     assert built == [False]  # narrow, and no fallback
     build_triangulation(g)
     assert built == [False, False]
@@ -468,15 +468,15 @@ def test_window_fallback_places_as_the_proven_width(monkeypatch, window):
     assert yielded == {(-1, 0): 0, (-2, 1): 144}[window]
     assert (partial.used > 0) == (yielded > 0)
     bud = Budget(None)
-    point = build_anchor(g, order, bud)
-    assert point.visible_counts == tuple(counts)
-    assert point.masks == tuple(mask for _, mask, _ in reference)
+    masks, visible = placed(g, order, bud)
+    assert visible == counts
+    assert masks == [mask for _, mask, _ in reference]
     assert bud.used == partial.used + pure.used
     rows = [(cell, proven.rows(inverse)) for cell, _, inverse in reference]
     assert unpacked_placing_pass(g, order) == rows
     assert rows == list(tuple_placing_pass(g, order, None, anchor))
     spent = Budget(None)
-    assert build_triangulation(g, order, spent) == cells_from_masks(g, point.masks)
+    assert build_triangulation(g, order, spent) == cells_from_masks(g, masks)
     assert spent.used == bud.used
 
 
