@@ -43,7 +43,7 @@ from .hstar import (
     resolve_method,
 )
 from .multigraph import Multigraph, blocks, connected_components
-from .polytope import dimension, facet_inequalities, lattice_points
+from .polytope import dimension, facet_inequalities, lattice_point_count, lattice_points
 from .sweep import sweep_graphs, sweep_theta, verify_graph
 from .triangulation import build_triangulation, decorated_view
 
@@ -54,6 +54,9 @@ EXIT_BUDGET = 3
 EXIT_CHECK = 4
 
 SCHEMA_VERSION = 1
+
+# a graph file may expand to at most this many edges, multiplicities included
+MAX_FILE_EDGES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +70,14 @@ def parse_graph_text(text: str) -> Multigraph:
     vertex count and switches endpoints to 0-based indices (a later ``vertices``
     line is an error).  Edge lines are ``u v`` with an optional `` *k``
     multiplicity suffix; no endpoint holds a ``*``, and ``u u`` is a loop.
+    A file whose edges, multiplicities included, pass ``MAX_FILE_EDGES`` is
+    refused at the line that passes it, before any edge is expanded.
     Without the header, all-integer endpoints are taken as 0-based indices,
     otherwise endpoints are labels resolved in first-appearance order.
     """
     header_count = None
     raw_edges: list[tuple[int, str, str, int]] = []
+    edge_total = 0
     significant_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -96,6 +102,9 @@ def parse_graph_text(text: str) -> Multigraph:
             tokens = tokens[:2]
         if len(tokens) != 2 or any("*" in t for t in tokens):
             raise GraphFileError(line_no, f"expected 'u v [*k]', got {raw.strip()!r}")
+        edge_total += mult
+        if edge_total > MAX_FILE_EDGES:
+            raise GraphFileError(line_no, f"more than {MAX_FILE_EDGES} edges in file")
         raw_edges.append((line_no, tokens[0], tokens[1], mult))
     if not raw_edges:
         raise GraphFileError(1, "no edges in file")
@@ -260,7 +269,7 @@ def cmd_info(g: Multigraph, args) -> dict:
             for b in block_list
         ],
         "dimension": dimension(g),
-        "lattice_points": len(lattice_points(g)),
+        "lattice_points": lattice_point_count(g),
     }
 
 

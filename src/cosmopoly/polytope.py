@@ -85,9 +85,15 @@ def lattice_points(g: Multigraph) -> list[LatticePoint]:
 
     For a loop both y-points coincide with the edge unit vector, so only the
     t-point (2 e_u - e_f) and the z-point survive; the count is
-    |V| + 4|E| - 2 * #loops.
+    :func:`lattice_point_count`.
     """
     return list(_lattice_points(g))
+
+
+def lattice_point_count(g: Multigraph) -> int:
+    """|V| + 4|E| - 2 * #loops, the length of :func:`lattice_points`,
+    without building a point."""
+    return g.vertex_count + 4 * len(g.edges) - 2 * g.loop_count
 
 
 # one call asks for the points of its graph many times over

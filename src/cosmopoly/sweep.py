@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 from .errors import Budget, BudgetExceeded, as_budget
@@ -19,76 +19,75 @@ from .hstar import (
     statistic_finding,
     theta_hstar,
 )
-from .multigraph import GraphError, Multigraph, is_connected, theta_graph
-from .polytope import dimension, lattice_points
+from .multigraph import Multigraph, _closure, is_connected, theta_graph
+from .polytope import dimension, lattice_point_count
 from .triangulation import placed
 
 def canonical_form(g: Multigraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact isomorphism-invariant labelling of a multigraph: two graphs get
     the same form iff they are isomorphic, at every size.
 
-    Colour refinement first splits the vertices into classes that do not
-    depend on the labels: each vertex starts at its degree, and each round
-    refines it by the sorted colours of its non-loop neighbours (with
-    multiplicity), renumbered to their sorted ranks, until the number of
-    classes stops growing.  The form is the least sorted edge list over every
-    labelling that numbers the classes in colour order, each class in any
-    internal order.  The cost is the product of the class-size factorials:
-    a graph that refinement cannot split, such as a cycle, takes all n!
-    labellings (9! = 362 880 for the 9-cycle, about 1.5 s on a 2-vCPU
-    machine under Python 3.11).
+    Individualisation-refinement (McKay 1981; McKay and Piperno 2014).  Colour
+    refinement starts each vertex at its degree and refines it each round by
+    the sorted colours of its non-loop neighbours (with multiplicity),
+    renumbered to their sorted ranks, until the number of classes stops
+    growing.  While a class holds more than one vertex, each vertex of the
+    first such class c is individualised in turn (colour 2c for it, 2c + 1
+    for the rest of c, 2d for each other class d) and refined again.  Each
+    discrete colouring is a labelling; the form is the least sorted edge list
+    over those leaves.  The 9-cycle has 18 leaves, but K_n, which refinement
+    never splits, has n! (automorphisms are not pruned).
     """
     n = g.vertex_count
     pairs = g.edge_pairs()
     neighbours = [[w for w, _ in incident] for incident in g.adjacency()]
-    colour = [g.degree(v) for v in range(n)]
-    count = len(set(colour))
-    while True:
-        signature = [
-            (colour[v], tuple(sorted(colour[u] for u in neighbours[v]))) for v in range(n)
-        ]
-        rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        colour = [rank[sig] for sig in signature]
-        if len(rank) == count:
-            break
-        count = len(rank)
-    classes = [[v for v in range(n) if colour[v] == c] for c in range(count)]
-    label = [0] * n
     best = None
-    for arrangement in product(*(permutations(cls) for cls in classes)):
-        for new, old in enumerate(chain.from_iterable(arrangement)):
-            label[old] = new
-        labelled = tuple(
-            sorted((label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
-                   for u, v in pairs)
-        )
-        if best is None or labelled < best:
-            best = labelled
+    stack = [[g.degree(v) for v in range(n)]]
+    while stack:
+        colour = stack.pop()
+        count = len(set(colour))
+        while True:
+            signature = [
+                (colour[v], tuple(sorted(colour[u] for u in neighbours[v]))) for v in range(n)
+            ]
+            rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+            colour = [rank[sig] for sig in signature]
+            if len(rank) == count:
+                break
+            count = len(rank)
+        if count == n:
+            labelled = tuple(sorted((min(colour[u], colour[v]), max(colour[u], colour[v]))
+                                    for u, v in pairs))
+            if best is None or labelled < best:
+                best = labelled
+            continue
+        c = min(x for x in colour if colour.count(x) > 1)
+        rest = [2 * x + (x == c) for x in colour]
+        for v in range(n):
+            if colour[v] == c:
+                stack.append(rest[:v] + [2 * c] + rest[v + 1:])
     return n, best
 
 
 def enumerate_connected_multigraphs(max_size: int) -> Iterator[Multigraph]:
     """All connected multigraphs with |V| + |E| <= max_size, without isolated
     vertices, one representative per isomorphism class: the first graph of
-    each class met, keyed by the exact :func:`canonical_form`, whose cost per
-    graph is the product of its class-size factorials."""
+    each class met among the ``combinations_with_replacement`` of vertex
+    pairs, keyed by :func:`canonical_form`.  A candidate whose edges do not
+    reach every vertex from vertex 0 is dropped before any graph is built."""
     seen = set()
     for nv in range(1, max_size // 2 + 2):
-        min_edges = max(1, nv - 1)
-        for ne in range(min_edges, max_size - nv + 1):
-            pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+        full = (1 << nv) - 1
+        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+        for ne in range(max(1, nv - 1), max_size - nv + 1):
             for combo in combinations_with_replacement(pairs, ne):
-                try:
-                    g = Multigraph.from_pairs(nv, combo)
-                except GraphError:
+                if _closure(1, [1 << u | 1 << v for u, v in combo]) != full:
                     continue
-                if not is_connected(g):
-                    continue
+                g = Multigraph.from_pairs(nv, combo)
                 key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield g
+                if key not in seen:
+                    seen.add(key)
+                    yield g
 
 
 class VerifyReport(NamedTuple):
@@ -130,7 +129,7 @@ def verify_graph(
     methods["blocks"] = hstar_blocks(g, bud, (order_seed or 0) + 1)
 
     masks = None
-    if len(lattice_points(g)) <= VISIBILITY_POINT_CAP:
+    if lattice_point_count(g) <= VISIBILITY_POINT_CAP:
         try:
             if is_connected(g):
                 masks, counts = placed(g, default_good_order(g, seed=order_seed), bud)

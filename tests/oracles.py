@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import comb, gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -199,6 +199,40 @@ def dfs_connected_components(g: Multigraph) -> list[tuple[int, ...]]:
                     stack.append(w)
         out.append(tuple(sorted(comp)))
     return out
+
+
+def labelling_canonical_form(g: Multigraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The least sorted edge list over every labelling that numbers the
+    colour-refinement classes in colour order, each class in any internal
+    order: the product of the class-size factorials of labellings, n! for a
+    graph refinement cannot split."""
+    n = g.vertex_count
+    pairs = g.edge_pairs()
+    neighbours = [[w for w, _ in incident] for incident in g.adjacency()]
+    colour = [g.degree(v) for v in range(n)]
+    count = len(set(colour))
+    while True:
+        signature = [
+            (colour[v], tuple(sorted(colour[u] for u in neighbours[v]))) for v in range(n)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        colour = [rank[sig] for sig in signature]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    classes = [[v for v in range(n) if colour[v] == c] for c in range(count)]
+    label = [0] * n
+    best = None
+    for arrangement in product(*(permutations(cls) for cls in classes)):
+        for new, old in enumerate(chain.from_iterable(arrangement)):
+            label[old] = new
+        labelled = tuple(
+            sorted((label[u], label[v]) if label[u] <= label[v] else (label[v], label[u])
+                   for u, v in pairs)
+        )
+        if best is None or labelled < best:
+            best = labelled
+    return n, best
 
 
 def brute_connected_subgraphs(g: Multigraph) -> set[tuple[frozenset[int], frozenset[int]]]:

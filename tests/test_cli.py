@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,38 @@ def test_a_huge_vertex_count_is_refused_at_once():
         parse_graph_text("vertices 1000000000000\n0 1\n")
     assert time.perf_counter() - start < 0.5
     assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "suffix", ["1000000000000", "99999999999999999999999"], ids=["memory", "overflow"]
+)
+def test_a_huge_multiplicity_is_refused_before_expansion(tmp_path, capsys, suffix):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "info", graph_file(tmp_path, f"0 1 *{suffix}\n"))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: line 1:")
+
+
+def test_the_edge_cap_counts_multiplicities_across_lines(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_FILE_EDGES", 10)
+    with pytest.raises(GraphFileError) as err:
+        parse_graph_text("0 1 *6\n1 2 *6\n")
+    assert err.value.line_no == 2
+    assert parse_graph_text("0 1 *3\n").edge_pairs() == ((0, 1),) * 3
+
+
+def test_info_counts_lattice_points_without_building_them(tmp_path, capsys):
+    path = graph_file(tmp_path, "0 1 *3000\n")
+    tracemalloc.start()
+    try:
+        code = run(["info", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and "lattice points: 12002\n" in out
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import json
 import random
+import time
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from cosmopoly.multigraph import (
     bundle,
     connected_components,
     connected_subgraphs,
+    cycle_graph,
     disjoint_union,
     is_connected,
     loop_graph,
@@ -31,6 +35,7 @@ from cosmopoly.multigraph import (
     triangle,
 )
 
+import cosmopoly.sweep as sweep_module
 from cosmopoly.sweep import canonical_form, enumerate_connected_multigraphs
 
 from oracles import (
@@ -40,6 +45,7 @@ from oracles import (
     brute_cycle_edge_sets,
     brute_directed_paths,
     dfs_connected_components,
+    labelling_canonical_form,
     multicycle_layout,
     relabeled,
     small_multigraphs,
@@ -320,3 +326,65 @@ def test_canonical_form_is_exact_on_the_small_sweep():
         assert_form_keeps_invariants(g, form)
         for copy in relabellings(g, rng, 5):
             assert canonical_form(copy) == form
+
+
+def test_canonical_form_classes_match_the_labelling_oracle():
+    rng = random.Random(13)
+    graphs = []
+    for g in enumerate_connected_multigraphs(8):
+        graphs += [g, *relabellings(g, rng, 5)]
+    forms = [canonical_form(g) for g in graphs]
+    oracle_forms = [labelling_canonical_form(g) for g in graphs]
+    # equal forms on one side iff equal forms on the other
+    assert len(set(forms)) == len(set(oracle_forms)) == len(set(zip(forms, oracle_forms))) == 93
+
+
+# Regular graphs whose colour refinement leaves one class and whose leaves
+# are not all alike: individualising one vertex or another gives different
+# labelled graphs, so the form must take the least leaf, not the first.
+UNSPLIT_REGULAR = [
+    Multigraph.from_pairs(6, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 5), (2, 5), (3, 4), (3, 4)]),
+    Multigraph.from_pairs(7, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3),
+                              (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)]),
+    Multigraph.from_pairs(8, [(0, 2), (0, 5), (0, 7), (1, 4), (1, 6), (1, 7), (2, 5), (2, 6),
+                              (3, 4), (3, 5), (3, 7), (4, 6)]),
+]
+
+
+@pytest.mark.parametrize("g", UNSPLIT_REGULAR, ids=["cubic6-multi", "quartic7", "cubic8"])
+def test_canonical_form_of_unsplit_regular_graphs(g):
+    form = canonical_form(g)
+    for copy in relabellings(g, random.Random(19), 8):
+        assert canonical_form(copy) == form
+    assert_form_keeps_invariants(g, form)
+
+
+def test_enumeration_is_unchanged_under_the_labelling_oracle(monkeypatch):
+    fast = [[g.edge_pairs() for g in enumerate_connected_multigraphs(n)] for n in range(1, 9)]
+    monkeypatch.setattr(sweep_module, "canonical_form", labelling_canonical_form)
+    slow = [[g.edge_pairs() for g in enumerate_connected_multigraphs(n)] for n in range(1, 9)]
+    assert fast == slow
+
+
+def test_class_counts_per_size():
+    counts = [sum(1 for _ in enumerate_connected_multigraphs(n)) for n in range(1, 11)]
+    assert counts == [0, 1, 3, 6, 12, 23, 46, 93, 199, 438]
+
+
+def test_canonical_form_of_the_nine_cycle_needs_no_labelling_scan():
+    # refinement cannot split a cycle; a scan of its 9! labellings takes seconds
+    g = cycle_graph(9)
+    start = time.perf_counter()
+    form = canonical_form(g)
+    assert time.perf_counter() - start < 0.1
+    for copy in relabellings(g, random.Random(17), 5):
+        assert canonical_form(copy) == form
+    assert_form_keeps_invariants(g, form)
+
+
+def test_small_sweep_matches_the_pinned_bench_corpus():
+    path = Path(__file__).resolve().parent.parent / "bench" / "references.json"
+    pinned = [(entry["vertices"], [tuple(e) for e in entry["edges"]])
+              for entry in json.loads(path.read_text(encoding="utf-8"))["sweep"]]
+    swept = [(g.vertex_count, list(g.edge_pairs())) for g in enumerate_connected_multigraphs(6)]
+    assert swept == pinned and len(swept) == 23

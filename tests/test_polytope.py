@@ -26,6 +26,7 @@ from cosmopoly.polytope import (
     count_interior_points,
     dimension,
     facet_inequalities,
+    lattice_point_count,
     lattice_points,
 )
 from cosmopoly.sweep import enumerate_connected_multigraphs
@@ -210,6 +211,12 @@ def sumset_cases():
         yield g, len(g.edges) + 1
     yield theta_graph(2, 2, 2), 4
     yield K4, 4
+
+
+def test_lattice_point_count_is_the_length_of_the_point_list():
+    extra = [loop_graph(1), bundle(5), disjoint_union(loop_graph(2), triangle())]
+    for g in [*enumerate_connected_multigraphs(7), *LOOPED, *extra]:
+        assert lattice_point_count(g) == len(lattice_points(g))
 
 
 @pytest.mark.parametrize("interior", [False, True], ids=["dilates", "interiors"])
